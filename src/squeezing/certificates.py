@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidCertificate
+
 TAGS = ("exact", "lower", "upper")
 
 
@@ -22,6 +24,6 @@ class BoundCertificate:
 
     def __post_init__(self):
         if self.tag not in TAGS:
-            raise ValueError(f"tag must be one of {TAGS}, got {self.tag!r}")
+            raise InvalidCertificate(f"tag must be one of {TAGS}, got {self.tag!r}")
         if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"certificate value must lie in (0, 1], got {self.value}")
+            raise InvalidCertificate(f"certificate value must lie in (0, 1], got {self.value}")

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .certificates import BoundCertificate
 from .checks import SUITE_NAMES, run_suite
 from .errors import SqueezingError
 from .planar import (
@@ -143,6 +144,8 @@ def _parse_point(text: str, dimension: int) -> np.ndarray:
         values = [float(p) for p in parts]
     except ValueError:
         raise CLIError(f"point {text!r} must be a comma-separated list of reals")
+    if not all(math.isfinite(v) for v in values):
+        raise CLIError(f"point {text!r} must have finite components")
     if len(values) == 2 * dimension:
         flat = values
     elif len(values) == dimension:
@@ -193,16 +196,8 @@ def cmd_exact(args) -> int:
         return 0
     if token.startswith("ball:"):
         n = _parse_positive_int(token[len("ball:"):], token)
-        record = {
-            "domain": token,
-            "point": None,
-            "value": 1.0,
-            "tag": "exact",
-            "method": "unit-ball",
-            "witness": {"dimension": n},
-            "tool_version": __version__,
-        }
-        _emit_record(record, args.out)
+        certificate = BoundCertificate(1.0, "exact", "unit-ball", {"dimension": n})
+        _emit_record(_record(token, None, certificate), args.out)
         return 0
     if token.startswith("punctured-ball:"):
         n = _parse_positive_int(token[len("punctured-ball:"):], token)
@@ -229,6 +224,7 @@ def cmd_bound(args) -> int:
         annulus = Annulus(args.annulus)
         certificate = annulus_lower_bound(annulus, args.rho)
         if args.caratheodory:
+            # hand-built: s/(4 delta) may exceed 1, which a BoundCertificate rejects
             delta = annulus.boundary_distance(args.rho)
             estimate = caratheodory_lower_estimate(args.rho, certificate.value, annulus)
             record = {
@@ -282,17 +278,10 @@ def cmd_bound(args) -> int:
         u, v, w = (float(p) for p in parts)
     except ValueError:
         raise CLIError(f"--c-constant takes three reals, got {args.c_constant!r}")
-    value = excision_constant(u, v, w)
-    record = {
-        "domain": "excised-disc-family",
-        "point": None,
-        "value": value,
-        "tag": "lower",
-        "method": "nested-radius-infimum",
-        "witness": {"u": u, "v": v, "w": w},
-        "tool_version": __version__,
-    }
-    _emit_record(record, args.out)
+    certificate = BoundCertificate(
+        excision_constant(u, v, w), "lower", "nested-radius-infimum", {"u": u, "v": v, "w": w}
+    )
+    _emit_record(_record("excised-disc-family", None, certificate), args.out)
     return 0
 
 

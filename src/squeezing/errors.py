@@ -57,3 +57,7 @@ class NotCertified(SqueezingError):
 
 class ImageEscapesDisc(SqueezingError):
     """A candidate map sends boundary samples outside the closed unit disc."""
+
+
+class InvalidCertificate(SqueezingError, ValueError):
+    """A bound certificate has an unknown tag or a value outside (0, 1]."""

@@ -216,7 +216,7 @@ class ExcisedDomain:
                 raise DomainValidationError(
                     f"excision radius {exc.radius} must lie in (u, v) = ({self.u}, {self.v})"
                 )
-            if abs(complex(exc.center_param)) >= 1.0:
+            if not abs(complex(exc.center_param)) < 1.0:  # also rejects nan
                 raise DomainValidationError("excision parameter must lie inside the unit disc")
         discs = [exc.circle_image(self.w) for exc in self.excisions]
         for i in range(len(discs)):

@@ -18,15 +18,16 @@ candidates are ever reported.  Post-composition with a disc automorphism is
 value-neutral (the objective is Mobius invariant), so candidates are stored
 unnormalised and implicitly recentred at f(p).
 
-The conjectured closed form for the true squeezing value is reported next
-to every search result; its gap to the best found bound is recorded but
-never asserted to have a sign.
+The conjectured closed form for the true squeezing value, computed by
+``planar.annulus_lower_bound``, is reported next to every search result;
+its gap to the best found bound is recorded but never asserted to have a
+sign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     PointOutsideAnnulus,
 )
 from .hyperbolic import MAX_RADIUS, euclidean_radius, hyperbolic_radius
-from .planar import Annulus
+from .planar import Annulus, annulus_lower_bound
 from .rouche import InjectivityCertificate, injectivity_certificate, laurent_map
 
 #: Default boundary samples per circle for objective evaluation; the final
@@ -51,6 +52,8 @@ CERTIFY_MARGIN = 1e-6
 
 _ESCAPE_SLACK = 1e-12
 _DEGREE_CAP = 4
+_SIMPLEX_STEP = 0.02
+_SIMPLEX_ITERATIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +87,10 @@ class EmbeddingCandidate:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """Outcome of a search; ``budget_exhausted`` is True when at least one
+    simplex start was cut off by its share of the evaluation budget, and
+    False when every start converged within its share."""
+
     best_value: float
     best_candidate: EmbeddingCandidate
     tier_a_value: float
@@ -104,10 +111,11 @@ def _check_point(annulus: Annulus, p) -> complex:
     return point
 
 
-def _laurent_values(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
-    m = len(coefficients) // 2
-    powers = np.arange(-m, m + 1)
-    return (coefficients * z[:, None] ** powers).sum(axis=1)
+def _boundary(annulus: Annulus, samples: int) -> np.ndarray:
+    """Equispaced samples of the outer circle followed by the inner circle."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    ring = np.exp(1j * theta)
+    return np.concatenate([ring, annulus.r * ring])
 
 
 def _objective_value(
@@ -119,11 +127,9 @@ def _objective_value(
 ) -> float:
     """Sampled objective; with strict=False an escaping image yields a
     negative penalty instead of an exception (used inside the search)."""
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    ring = np.exp(1j * theta)
-    boundary = np.concatenate([ring, annulus.r * ring])
-    w = _laurent_values(coefficients, boundary)
-    wp = _laurent_values(coefficients, np.array([p], dtype=complex))[0]
+    f = laurent_map(coefficients).evaluator
+    w = f(_boundary(annulus, samples))
+    wp = f(p)
     moduli = np.abs(w)
     escape = max(moduli.max() - 1.0, abs(wp) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
@@ -155,10 +161,7 @@ def _normalized(coefficients: np.ndarray, annulus: Annulus) -> np.ndarray | None
     """
     scan = 8192
     degree = len(coefficients) // 2
-    theta = 2.0 * np.pi * np.arange(scan) / scan
-    ring = np.exp(1j * theta)
-    boundary = np.concatenate([ring, annulus.r * ring])
-    peak = np.abs(_laurent_values(coefficients, boundary)).max()
+    peak = np.abs(laurent_map(coefficients).evaluator(_boundary(annulus, scan))).max()
     if peak < 1e-12:
         return None
     step = 2.0 * np.pi / scan
@@ -180,11 +183,6 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     return _objective_value(candidate.coefficients, annulus, point, samples, strict=True)
 
 
-def _conjecture_at(annulus: Annulus, rho: float) -> float:
-    folded = annulus.fold(rho)
-    return float(euclidean_radius(hyperbolic_radius(folded) - hyperbolic_radius(annulus.r)))
-
-
 def tier_a_bound(annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> SearchResult:
     """Best of the two Mobius embeddings; reproduces the closed-form bound."""
     point = _check_point(annulus, p)
@@ -200,48 +198,27 @@ def tier_a_bound(annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> SearchR
         best_value=value,
         best_candidate=best,
         tier_a_value=value,
-        conjecture_value=_conjecture_at(annulus, abs(point)),
+        conjecture_value=annulus_lower_bound(annulus, point).value,
         evaluations=2,
         seed=0,
     )
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Exhausted(Exception):
+    """Raised by the search objective once a start has used its evaluations."""
 
 
-class _StartExhausted(Exception):
-    pass
-
-
-def _run_start(raw, start, allowance):
-    """Run one simplex start with a per-start evaluation allowance."""
-    used = 0
-
-    def limited(x):
-        nonlocal used
-        if used >= allowance:
-            raise _StartExhausted
-        used += 1
-        return raw(x)
-
-    try:
-        _simplex_maximize(limited, start, step=0.02)
-    except _StartExhausted:
-        pass
-
-
-def _simplex_maximize(fn: Callable, x0: np.ndarray, step: float = 0.05, iterations: int = 200):
-    """Deterministic Nelder-Mead ascent; fn may abort via _BudgetExhausted."""
+def _simplex_maximize(fn: Callable, x0: np.ndarray):
+    """Deterministic Nelder-Mead ascent; fn may abort the run via _Exhausted."""
     dim = len(x0)
     points = [np.array(x0, dtype=float)]
     for i in range(dim):
         shifted = np.array(x0, dtype=float)
-        shifted[i] += step
+        shifted[i] += _SIMPLEX_STEP
         points.append(shifted)
     values = [fn(x) for x in points]
 
-    for _ in range(iterations):
+    for _ in range(_SIMPLEX_ITERATIONS):
         order = sorted(range(dim + 1), key=lambda i: -values[i])
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -286,7 +263,6 @@ def tier_b_search(
     budget: int = 500,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
-    target_grid: int = 16,
 ) -> SearchResult:
     """Multi-start simplex search over certified Laurent embeddings.
 
@@ -304,26 +280,10 @@ def tier_b_search(
     if budget < 1:
         raise DomainValidationError("budget must be at least 1")
 
-    inclusion = EmbeddingCandidate.mobius_inclusion()
-    reflection = EmbeddingCandidate.mobius_reflection(annulus.r)
     final_samples = 2 * samples
-    tier_a_final = {
-        inclusion: _objective_value(inclusion.coefficients, annulus, point, final_samples, True),
-        reflection: _objective_value(reflection.coefficients, annulus, point, final_samples, True),
-    }
-    best_mobius = max(tier_a_final, key=tier_a_final.get)
-    tier_a_value = tier_a_final[best_mobius]
-    conjecture = _conjecture_at(annulus, abs(point))
-
+    tier_a = tier_a_bound(annulus, point, final_samples)
     if degree == 0:
-        return SearchResult(
-            best_value=tier_a_value,
-            best_candidate=best_mobius,
-            tier_a_value=tier_a_value,
-            conjecture_value=conjecture,
-            evaluations=2,
-            seed=seed,
-        )
+        return replace(tier_a, seed=seed)
 
     size = 2 * degree + 1
     seed_inclusion = np.zeros(size, dtype=complex)
@@ -347,21 +307,20 @@ def tier_b_search(
     ]
 
     evaluations = 0
+    stop = 0  # evaluation count at which the running start is cut off
     exhausted = False
 
     def raw(x: np.ndarray) -> float:
         nonlocal evaluations, incumbent, incumbent_value, rejected_above
-        if evaluations >= budget:
-            raise _BudgetExhausted
+        if evaluations >= stop:
+            raise _Exhausted
         evaluations += 1
         coefficients = _normalized(_decode(x), annulus)
         if coefficients is None:
             return -1.0
         value = _objective_value(coefficients, annulus, point, samples, strict=False)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
-            certificate = injectivity_certificate(
-                laurent_map(coefficients), annulus, target_grid=target_grid, samples=samples
-            )
+            certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
             if certificate.status == "certified":
                 incumbent = (coefficients.copy(), value, certificate)
                 incumbent_value = value
@@ -371,18 +330,14 @@ def tier_b_search(
 
     per_start = max(budget // len(starts), 2 * size + 2)
     for start in starts:
-        allowance = min(per_start, budget - evaluations)
-        if allowance <= 0:
-            exhausted = True
-            break
+        stop = min(evaluations + per_start, budget)
         try:
-            _run_start(raw, start, allowance)
-        except _BudgetExhausted:
+            _simplex_maximize(raw, start)
+        except _Exhausted:
             exhausted = True
-            break
 
-    best_value = tier_a_value
-    best_candidate = best_mobius
+    best_value = tier_a.best_value
+    best_candidate = tier_a.best_candidate
     if incumbent is not None:
         coefficients, raw_value, certificate = incumbent
         try:
@@ -401,8 +356,8 @@ def tier_b_search(
     return SearchResult(
         best_value=best_value,
         best_candidate=best_candidate,
-        tier_a_value=tier_a_value,
-        conjecture_value=conjecture,
+        tier_a_value=tier_a.best_value,
+        conjecture_value=tier_a.conjecture_value,
         evaluations=evaluations,
         seed=seed,
         budget_exhausted=exhausted,

@@ -212,8 +212,9 @@ class TestCheck:
         assert code == 2
         assert "bogus" in err
 
-    def test_metrics_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--suite", "metrics")
+    @pytest.mark.parametrize("suite", ["metrics", "rouche", "symmetric", "planar", "search"])
+    def test_suite_passes(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "check", "--suite", suite)
         assert code == 0
         assert "FAIL" not in out
 
@@ -246,6 +247,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--domain", "punctured-ball:2", "--point", "nan,0"),
+        ("bound", "--punctured-ball", "1", "--punctures", "0", "--point", "1e-320"),
+    ],
+)
+def test_invalid_input_exits_two_without_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "squeezing", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr
 
 
 def test_float_formatting_roundtrip(capsys):

@@ -217,6 +217,11 @@ class TestExcisedDomain:
         with pytest.raises(DomainValidationError):
             ExcisedDomain(0.2, 0.3, 0.45, (Excision(0.1, 0.25), Excision(0.15, 0.25)))
 
+    @pytest.mark.parametrize("center", [1.2, float("nan")])
+    def test_center_must_lie_in_disc(self, center):
+        with pytest.raises(DomainValidationError):
+            ExcisedDomain(0.2, 0.3, 0.45, (Excision(center, 0.25),))
+
     def test_radius_window_enforced(self):
         with pytest.raises(DomainValidationError):
             ExcisedDomain(0.2, 0.3, 0.45, (Excision(0.5, 0.35),))

@@ -96,6 +96,8 @@ class TestTierB:
         collapsed = tier_b_search(QUARTER, 0.5, degree=0, budget=10, seed=0)
         reference = tier_a_bound(QUARTER, 0.5, samples=2 * 2048)
         assert collapsed.best_value == reference.best_value
+        assert collapsed.conjecture_value == reference.conjecture_value
+        assert collapsed.best_candidate.family == reference.best_candidate.family
         assert collapsed.evaluations == 2
 
     def test_containment(self):
@@ -120,6 +122,16 @@ class TestTierB:
         result = tier_b_search(QUARTER, 0.5, degree=2, budget=5, seed=0)
         assert result.budget_exhausted
         assert result.best_value >= result.tier_a_value - 1e-9
+
+    def test_budget_used_up_by_last_start_is_exhausted(self):
+        result = tier_b_search(QUARTER, 0.5, degree=1, budget=40, seed=1)
+        assert result.evaluations == 40
+        assert result.budget_exhausted
+
+    def test_converged_starts_are_not_exhausted(self):
+        result = tier_b_search(QUARTER, 0.5, degree=1, budget=4000, seed=1, samples=256)
+        assert result.evaluations < 4000
+        assert not result.budget_exhausted
 
     def test_conjecture_gap_is_reported_not_asserted(self):
         result = tier_b_search(QUARTER, 0.5, degree=1, budget=60, seed=1)
