@@ -6,9 +6,11 @@ annulus bounded by two circles) is the contour integral of f'/f divided by
 spectrally accurate for analytic integrands.  Dominance |g| < |f| on the
 contour forces f and f + g to enclose equally many zeros; applying that
 fact to f - w over a grid of targets w yields a conservative, finite check
-that a map hits no target twice inside an annulus.  The certificate is a
-numerical statement only: "inconclusive" is an allowed terminal state and
-consumers must treat it as unusable, never as a certification.
+that a map hits no target twice inside an annulus, at two resolutions
+taken from one evaluation at 2N samples (the N-sample count reads the
+even-indexed nodes).  The certificate is a numerical statement only:
+"inconclusive" is an allowed terminal state and consumers must treat it as
+unusable, never as a certification.
 """
 
 from __future__ import annotations
@@ -132,19 +134,33 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
     return tuple(contours)
 
 
-def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, guard: float):
-    total = 0j
+def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n: int):
+    """Per-target argument-principle sums of f - w at n and at the even-indexed
+    n/2 samples per contour, and the margins min |f - w|; f, f' evaluated once."""
+    fine = np.zeros(len(targets), dtype=complex)
+    coarse = np.zeros(len(targets), dtype=complex)
+    margins = np.full(len(targets), np.inf)
     for contour in contours:
         z, ring = _circle_nodes(contour, n)
-        values = np.asarray(f.evaluator(z), dtype=complex)
-        low = np.abs(values).min()
-        if low <= guard:
-            raise GuardViolation(
-                f"|f| = {low:.3e} <= guard {guard:.1e} on contour of radius {contour.radius}"
-            )
+        values = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape)
         derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
-        total += contour.orientation * np.mean(derivatives / values * ring)
-    return total
+        shifted = values[None, :] - targets[:, None]
+        margins = np.minimum(margins, np.abs(shifted).min(axis=1))
+        # targets touching the image curve produce non-finite rows; they are
+        # rejected by the guard margin, so the division may proceed silently
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(derivatives, shifted, out=shifted)
+            shifted *= ring
+        fine += contour.orientation * shifted.mean(axis=1)
+        coarse += contour.orientation * shifted[:, ::2].mean(axis=1)
+    return fine, coarse, margins
+
+
+def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, guard: float):
+    total, _, margins = _argument_sums(f, contours, np.zeros(1), n)
+    if margins[0] <= guard:
+        raise GuardViolation(f"|f| = {margins[0]:.3e} <= guard {guard:.1e} on the contours")
+    return total[0]
 
 
 def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD) -> CountResult:
@@ -207,25 +223,6 @@ def _range_box(f: SampledMap, inner_radius: float):
     return re_low, re_high, im_low, im_high
 
 
-def _annulus_counts(f: SampledMap, inner_radius: float, targets, n: int):
-    """Per-target argument-principle totals and guard margins at resolution n."""
-    totals = np.zeros(len(targets), dtype=complex)
-    margins = np.full(len(targets), np.inf)
-    for contour in unit_annulus_contours(inner_radius, 64):
-        z, ring = _circle_nodes(contour, n)
-        values = np.asarray(f.evaluator(z), dtype=complex)
-        derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
-        shifted = values[None, :] - targets[:, None]
-        margins = np.minimum(margins, np.abs(shifted).min(axis=1))
-        # targets touching the image curve produce non-finite rows; they are
-        # rejected by the guard margin, so the division may proceed silently
-        with np.errstate(divide="ignore", invalid="ignore"):
-            totals += contour.orientation * np.mean(
-                derivatives[None, :] / shifted * ring[None, :], axis=1
-            )
-    return totals, margins
-
-
 def injectivity_certificate(
     f: SampledMap,
     annulus,
@@ -237,7 +234,8 @@ def injectivity_certificate(
 
     A cell-centred target_grid x target_grid grid of w values covers the
     sampled numerical range of f; for each w the zeros of f - w inside the
-    annulus are counted at two resolutions.  Any trustworthy count >= 2
+    annulus are counted at 2*samples and, on the even-indexed nodes of that
+    one evaluation, at samples nodes per circle.  Any trustworthy count >= 2
     refutes injectivity; the certificate is "certified" only when every
     target yields a trustworthy count <= 1, and "inconclusive" otherwise
     (guard violations and unstable quadrature are never certified).
@@ -258,9 +256,9 @@ def injectivity_certificate(
     ys = im_low + (np.arange(grid) + 0.5) * (im_high - im_low) / grid
     targets = (xs[:, None] + 1j * ys[None, :]).ravel()
 
-    coarse, margins_lo = _annulus_counts(f, inner_radius, targets, samples)
-    fine, margins_hi = _annulus_counts(f, inner_radius, targets, 2 * samples)
-    margins = np.minimum(margins_lo, margins_hi)
+    fine, coarse, margins = _argument_sums(
+        f, unit_annulus_contours(inner_radius), targets, 2 * samples
+    )
 
     nearest = np.rint(fine.real)
     residual = np.abs(fine - nearest)

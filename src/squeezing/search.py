@@ -277,6 +277,11 @@ def tier_b_search(
     point = _check_point(annulus, p)
     if not isinstance(degree, int) or not 0 <= degree <= _DEGREE_CAP:
         raise DomainValidationError(f"degree must be an integer in [0, {_DEGREE_CAP}]")
+    # z^{-degree} on the inner circle must stay finite, or every evaluation is NaN
+    if annulus.r ** degree == 0.0 or math.isinf(1.0 / annulus.r ** degree):
+        raise DomainValidationError(
+            f"annulus radius {annulus.r!r} is too small for degree {degree}: 1 / r**{degree} overflows"
+        )
     if budget < 1:
         raise DomainValidationError("budget must be at least 1")
 

@@ -103,20 +103,14 @@ class ClassicalDomain:
 
 
 def _positive_definite(hermitian: np.ndarray) -> bool:
-    """Cholesky factorisation with explicit pivots; any pivot <= 0 fails.
+    """LAPACK Cholesky factorisation; it fails at the first pivot <= 0 or NaN.
 
-    Boundary ties land on nonpositive pivots and are classified outside,
-    matching the strict inequalities defining the domains.
+    Exact boundary ties are decided by rounding (see ``contains``).
     """
-    n = hermitian.shape[0]
-    lower = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        pivot = hermitian[k, k].real - np.sum(np.abs(lower[k, :k]) ** 2)
-        if pivot <= 0.0:
-            return False
-        lower[k, k] = np.sqrt(pivot)
-        for i in range(k + 1, n):
-            lower[i, k] = (hermitian[i, k] - np.dot(lower[i, :k], lower[k, :k].conj())) / lower[k, k]
+    try:
+        np.linalg.cholesky(hermitian)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
@@ -142,7 +136,9 @@ def _matrix_point(domain: ClassicalDomain, point) -> np.ndarray:
 
 
 def contains(domain: ClassicalDomain, point) -> bool:
-    """Strict membership of ``point`` in the given classical domain."""
+    """Strict membership of ``point`` in the given classical domain; exact
+    boundary ties of types I-III are decided by rounding, not always outside
+    (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside)."""
     if domain.kind == "IV":
         z = np.asarray(point, dtype=complex)
         (n,) = domain.params

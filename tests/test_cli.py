@@ -254,6 +254,8 @@ def test_module_entry_point():
     [
         ("exact", "--domain", "punctured-ball:2", "--point", "nan,0"),
         ("bound", "--punctured-ball", "1", "--punctures", "0", "--point", "1e-320"),
+        # r^{-2} overflows on the inner circle: rejected before any evaluation
+        ("search", "--annulus", "1e-300", "--rho", "0.5", "--budget", "5"),
     ],
 )
 def test_invalid_input_exits_two_without_traceback(argv):
@@ -266,6 +268,9 @@ def test_invalid_input_exits_two_without_traceback(argv):
     assert proc.returncode == 2
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    if argv[0] == "search":
+        assert "annulus" in proc.stderr
 
 
 def test_float_formatting_roundtrip(capsys):

@@ -14,10 +14,30 @@ from squeezing import (
 )
 from squeezing.checks import injective_corpus, noninjective_corpus
 from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
+from squeezing.rouche import _argument_sums
 
 
 def monomial(k):
     return SampledMap(lambda z: z ** k, lambda z: k * z ** (k - 1.0))
+
+
+def annulus_sums_at(f, inner_radius, targets, n):
+    """Reference: per-target argument-principle sums of f - w and guard
+    margins from a separate evaluation at exactly n samples per circle."""
+    totals = np.zeros(len(targets), dtype=complex)
+    margins = np.full(len(targets), np.inf)
+    for contour in unit_annulus_contours(inner_radius):
+        ring = contour.radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        z = contour.center + ring
+        values = np.asarray(f.evaluator(z), dtype=complex)
+        derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
+        shifted = values[None, :] - targets[:, None]
+        margins = np.minimum(margins, np.abs(shifted).min(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            totals += contour.orientation * np.mean(
+                derivatives[None, :] / shifted * ring[None, :], axis=1
+            )
+    return totals, margins
 
 
 class TestContourValidation:
@@ -58,9 +78,14 @@ class TestZeroCount:
         shifted = SampledMap(lambda z: z - 0.75, lambda z: np.ones_like(z))
         assert zero_count(shifted, unit_annulus_contours(0.5)) == 1
 
+    def test_scalar_valued_evaluator(self):
+        constant = SampledMap(lambda z: 2.0, lambda z: 0.0)
+        assert zero_count(constant, CircleContour()) == 0
+        assert zero_count(constant, unit_annulus_contours(0.5)) == 0
+
     def test_guard_violation_for_zero_on_contour(self):
         on_contour = SampledMap(lambda z: z - 1.0, lambda z: np.ones_like(z))
-        with pytest.raises(GuardViolation):
+        with pytest.raises(GuardViolation, match=r"\|f\| = 0\.000e\+00 <= guard 1\.0e-09"):
             zero_count(on_contour, CircleContour())
 
     def test_non_integer_residual_for_zero_hugging_contour(self):
@@ -76,6 +101,31 @@ class TestZeroCount:
         coarse = zero_count_detailed(wobbly, CircleContour(samples=64))
         assert coarse.count == 3
         assert coarse.residual < 1e-8
+
+
+class TestArgumentSums:
+    @pytest.mark.parametrize(
+        "coefficients, extra_targets",
+        [
+            ([0, 0, 1], []),  # injective
+            ([0, 0, 0, 0, 1], []),  # z^2: two preimages of every 0.25 < |w| < 1
+            ([0, 0, 1], [1.0, 0.5]),  # targets on the image of the theta = 0 nodes
+        ],
+    )
+    @pytest.mark.parametrize("n", [256, 1000])
+    def test_one_pass_matches_separate_resolutions(self, coefficients, extra_targets, n):
+        f = laurent_map(coefficients)
+        targets = np.array([0.0, 0.3 + 0.2j, 0.75, -0.6j, 2.0, *extra_targets], dtype=complex)
+        coarse_ref, margins_lo = annulus_sums_at(f, 0.5, targets, n)
+        fine_ref, margins_hi = annulus_sums_at(f, 0.5, targets, 2 * n)
+        fine, coarse, margins = _argument_sums(f, unit_annulus_contours(0.5), targets, 2 * n)
+        assert np.array_equal(fine, fine_ref, equal_nan=True)
+        assert np.array_equal(coarse, coarse_ref, equal_nan=True)
+        assert np.array_equal(margins, np.minimum(margins_lo, margins_hi))
+        if extra_targets:
+            assert np.all(margins[-2:] == 0.0)
+            assert not np.any(np.isfinite(fine[-2:]))
+            assert not np.any(np.isfinite(coarse[-2:]))
 
 
 class TestRoucheDominance:

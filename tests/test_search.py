@@ -142,6 +142,9 @@ class TestTierB:
             tier_b_search(QUARTER, 0.5, degree=5, budget=10, seed=0)
         with pytest.raises(DomainValidationError):
             tier_b_search(QUARTER, 0.5, degree=2, budget=0, seed=0)
+        # r^{-2} overflows on the inner circle of this annulus
+        with pytest.raises(DomainValidationError, match="annulus radius 1e-300"):
+            tier_b_search(Annulus(1e-300), 0.5, degree=2, budget=10, seed=0)
 
 
 class TestMonotonicityScan:

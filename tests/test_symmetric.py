@@ -47,7 +47,16 @@ class TestMembership:
         assert contains(ClassicalDomain.type_iv(2), np.zeros(2))
 
     def test_boundary_point_excluded(self):
-        assert not contains(ClassicalDomain.type_i(1, 1), np.array([[1.0]]))
+        # exact ties ||Z|| = 1 (by hand: Z Z^H has largest eigenvalue exactly 1)
+        ties = [
+            (ClassicalDomain.type_i(1, 1), [[1.0]]),
+            (ClassicalDomain.type_i(2, 2), [[1.0, 0.0], [0.0, 0.5]]),
+            (ClassicalDomain.type_i(1, 2), [[0.6, 0.8]]),
+            (ClassicalDomain.type_ii(2), [[1.0, 0.0], [0.0, 0.0]]),
+            (ClassicalDomain.type_iii(2), [[0.0, 1.0], [-1.0, 0.0]]),
+        ]
+        for domain, z in ties:
+            assert not contains(domain, np.array(z)), domain.describe()
 
     def test_type_iv_isotropic_boundary_tie(self):
         # oracle by hand: z = (0.5, 0.5i) has zz' = 0 and ||z||^2 = 1/2, so the
