@@ -45,6 +45,7 @@ from .rouche import (
     InjectivityCertificate,
     SampledMap,
     injectivity_certificate,
+    laurent_basis,
     laurent_map,
     polynomial_map,
     rouche_dominates,
@@ -104,6 +105,7 @@ __all__ = [
     "injectivity_certificate",
     "kobayashi_distance",
     "kubota_constant",
+    "laurent_basis",
     "laurent_map",
     "lipschitz_check",
     "mobius_circle_image",

@@ -287,14 +287,17 @@ def cmd_bound(args) -> int:
 
 def cmd_search(args) -> int:
     annulus = Annulus(args.annulus)
+    samples = _env_samples()
     result = tier_b_search(
         annulus,
         args.rho,
         degree=args.degree,
         budget=args.budget,
         seed=args.seed,
-        samples=_env_samples(),
+        samples=samples,
     )
+    candidate = result.best_candidate
+    certificate = candidate.certificate  # None for the Mobius families
     record = {
         "best_value": result.best_value,
         "tier_a_value": result.tier_a_value,
@@ -303,8 +306,16 @@ def cmd_search(args) -> int:
         "seed": result.seed,
         "evaluations": result.evaluations,
         "tag": "lower",
-        "method": f"tier-b-{result.best_candidate.family}",
+        "method": f"tier-b-{candidate.family}",
         "tool_version": __version__,
+        "budget_exhausted": result.budget_exhausted,
+        "witness": {
+            "family": candidate.family,
+            "coefficients": [[c.real, c.imag] for c in candidate.coefficients],
+            "samples": samples,
+            "grid_size": None if certificate is None else certificate.grid_size,
+            "min_boundary_modulus": None if certificate is None else certificate.min_boundary_modulus,
+        },
     }
     print(_encode_json(record))
     return 0

@@ -97,7 +97,9 @@ def _ball_point(z):
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if arr.ndim != 1:
         raise ShapeMismatch("ball points are one-dimensional complex vectors")
-    if np.linalg.norm(arr) >= 1.0:
+    with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
+        outside = np.linalg.norm(arr) >= 1.0
+    if outside:
         raise DomainValidationError("ball points must satisfy ||z|| < 1")
     return arr
 

@@ -293,7 +293,9 @@ class PuncturedBall:
                 raise ShapeMismatch(
                     f"puncture must be a complex {self.dimension}-vector, got shape {vec.shape}"
                 )
-            if np.linalg.norm(vec) >= 1.0:
+            with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
+                outside = np.linalg.norm(vec) >= 1.0
+            if outside:
                 raise DomainValidationError("punctures must lie strictly inside the ball")
             cleaned.append(vec)
         for i in range(len(cleaned)):
@@ -315,7 +317,9 @@ def punctured_domain_upper_bound(domain: PuncturedBall, z) -> BoundCertificate:
         raise ShapeMismatch(
             f"point must be a complex {domain.dimension}-vector, got shape {vec.shape}"
         )
-    if np.linalg.norm(vec) >= 1.0:
+    with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
+        outside = np.linalg.norm(vec) >= 1.0
+    if outside:
         raise DomainValidationError("point must lie inside the unit ball")
     for p in domain.punctures:
         if np.array_equal(vec, p):

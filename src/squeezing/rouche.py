@@ -93,21 +93,30 @@ def polynomial_map(coefficients) -> SampledMap:
     return SampledMap(f, df)
 
 
+def laurent_basis(z, degree: int) -> np.ndarray:
+    """Power table z[..., None] ** k for k = -degree..degree along a new last axis.
+
+    A degree-m Laurent map with coefficients c_{-m}..c_m is
+    ``laurent_basis(z, m) @ c``; callers that evaluate many coefficient
+    vectors on fixed points build the table once and reuse it.
+    """
+    return np.asarray(z, dtype=complex)[..., None] ** np.arange(-degree, degree + 1)
+
+
 def laurent_map(coefficients) -> SampledMap:
     """Map for sum_{k=-m}^{m} c_k z^k; ``coefficients`` has odd length 2m+1."""
     c = np.asarray(coefficients, dtype=complex)
     if len(c) % 2 == 0:
         raise DomainValidationError("Laurent coefficients must have odd length c_{-m}..c_m")
     m = len(c) // 2
-    powers = np.arange(-m, m + 1)
+    dc = c * np.arange(-m, m + 1)
 
     def f(z):
-        zz = np.asarray(z, dtype=complex)
-        return (c * zz[..., None] ** powers).sum(axis=-1)
+        return laurent_basis(z, m) @ c
 
     def df(z):
-        zz = np.asarray(z, dtype=complex)
-        return (c * powers * zz[..., None] ** (powers - 1)).sum(axis=-1)
+        # sum k c_k z^{k-1}: the powers -m-1..m-1 of the degree-(m+1) table
+        return laurent_basis(z, m + 1)[..., :-2] @ dc
 
     return SampledMap(f, df)
 

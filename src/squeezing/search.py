@@ -18,6 +18,12 @@ candidates are ever reported.  Post-composition with a disc automorphism is
 value-neutral (the objective is Mobius invariant), so candidates are stored
 unnormalised and implicitly recentred at f(p).
 
+The boundary curves of a degree-m Laurent map are trigonometric
+polynomials on fixed sample rings, so a search builds the power basis
+``rouche.laurent_basis`` of each ring (the normalising scan, and the
+objective ring plus the query point) once per call; each evaluation is then
+one matrix-vector product of that basis with the coefficient vector.
+
 The conjectured closed form for the true squeezing value, computed by
 ``planar.annulus_lower_bound``, is reported next to every search result;
 its gap to the best found bound is recorded but never asserted to have a
@@ -40,7 +46,7 @@ from .errors import (
 )
 from .hyperbolic import MAX_RADIUS, euclidean_radius, hyperbolic_radius
 from .planar import Annulus, annulus_lower_bound
-from .rouche import InjectivityCertificate, injectivity_certificate, laurent_map
+from .rouche import InjectivityCertificate, injectivity_certificate, laurent_basis, laurent_map
 
 #: Default boundary samples per circle for objective evaluation; the final
 #: reported value is re-evaluated at twice this resolution.
@@ -49,6 +55,9 @@ DEFAULT_SAMPLES = 2048
 #: Candidates must beat the certified incumbent by this much before the
 #: (expensive) injectivity certificate is attempted.
 CERTIFY_MARGIN = 1e-6
+
+#: Boundary samples per circle of the scan that bounds the image modulus.
+_SCAN = 8192
 
 _ESCAPE_SLACK = 1e-12
 _DEGREE_CAP = 4
@@ -111,25 +120,25 @@ def _check_point(annulus: Annulus, p) -> complex:
     return point
 
 
-def _boundary(annulus: Annulus, samples: int) -> np.ndarray:
-    """Equispaced samples of the outer circle followed by the inner circle."""
+def _boundary(annulus: Annulus, samples: int, degree: int, *extra) -> np.ndarray:
+    """Laurent power basis of equispaced samples of the outer circle, then the
+    inner circle, then any ``extra`` points (the query point of an objective)."""
+    # z^{-degree} on the inner circle must stay finite, or every evaluation is NaN
+    if annulus.r ** degree == 0.0 or math.isinf(1.0 / annulus.r ** degree):
+        raise DomainValidationError(
+            f"annulus radius {annulus.r!r} is too small for degree {degree}: 1 / r**{degree} overflows"
+        )
     theta = 2.0 * np.pi * np.arange(samples) / samples
     ring = np.exp(1j * theta)
-    return np.concatenate([ring, annulus.r * ring])
+    return laurent_basis(np.concatenate([ring, annulus.r * ring, extra]), degree)
 
 
-def _objective_value(
-    coefficients: np.ndarray,
-    annulus: Annulus,
-    p: complex,
-    samples: int,
-    strict: bool,
-) -> float:
-    """Sampled objective; with strict=False an escaping image yields a
-    negative penalty instead of an exception (used inside the search)."""
-    f = laurent_map(coefficients).evaluator
-    w = f(_boundary(annulus, samples))
-    wp = f(p)
+def _objective_value(coefficients: np.ndarray, basis: np.ndarray, strict: bool) -> float:
+    """Sampled objective on a ``_boundary`` basis whose last row is the query
+    point; with strict=False an escaping image yields a negative penalty
+    instead of an exception (used inside the search)."""
+    values = basis @ coefficients
+    w, wp = values[:-1], values[-1]
     moduli = np.abs(w)
     escape = max(moduli.max() - 1.0, abs(wp) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
@@ -147,7 +156,7 @@ def _objective_value(
     return float(euclidean_radius(hyperbolic_radius(pseudo).min()))
 
 
-def _normalized(coefficients: np.ndarray, annulus: Annulus) -> np.ndarray | None:
+def _normalized(coefficients: np.ndarray, scan: np.ndarray) -> np.ndarray | None:
     """Rescale a coefficient vector so the boundary image provably stays
     inside the unit disc.
 
@@ -157,14 +166,14 @@ def _normalized(coefficients: np.ndarray, annulus: Annulus) -> np.ndarray | None
     modulus exceeds the sampled maximum by at most the Bernstein-type factor
     1/sqrt(1 - (m h)^2 / 2) at angular step h; dividing by that inflated peak
     keeps the rescaled image strictly inside the disc at every resolution.
+    ``scan`` is the ``_boundary`` basis at _SCAN samples per circle.
     Degenerate (near-zero) vectors yield None.
     """
-    scan = 8192
     degree = len(coefficients) // 2
-    peak = np.abs(laurent_map(coefficients).evaluator(_boundary(annulus, scan))).max()
+    peak = np.abs(scan @ coefficients).max()
     if peak < 1e-12:
         return None
-    step = 2.0 * np.pi / scan
+    step = 2.0 * np.pi / _SCAN
     inflation = 1.0 / math.sqrt(1.0 - 0.5 * (degree * step) ** 2)
     return coefficients * ((1.0 - 1e-12) / (peak * inflation))
 
@@ -180,7 +189,8 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
     point = _check_point(annulus, p)
-    return _objective_value(candidate.coefficients, annulus, point, samples, strict=True)
+    basis = _boundary(annulus, samples, len(candidate.coefficients) // 2, point)
+    return _objective_value(candidate.coefficients, basis, strict=True)
 
 
 def tier_a_bound(annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> SearchResult:
@@ -188,8 +198,9 @@ def tier_a_bound(annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> SearchR
     point = _check_point(annulus, p)
     inclusion = EmbeddingCandidate.mobius_inclusion()
     reflection = EmbeddingCandidate.mobius_reflection(annulus.r)
-    value_inc = _objective_value(inclusion.coefficients, annulus, point, samples, strict=True)
-    value_ref = _objective_value(reflection.coefficients, annulus, point, samples, strict=True)
+    basis = _boundary(annulus, samples, 1, point)
+    value_inc = _objective_value(inclusion.coefficients, basis, strict=True)
+    value_ref = _objective_value(reflection.coefficients, basis, strict=True)
     if value_inc >= value_ref:
         best, value = inclusion, value_inc
     else:
@@ -277,13 +288,10 @@ def tier_b_search(
     point = _check_point(annulus, p)
     if not isinstance(degree, int) or not 0 <= degree <= _DEGREE_CAP:
         raise DomainValidationError(f"degree must be an integer in [0, {_DEGREE_CAP}]")
-    # z^{-degree} on the inner circle must stay finite, or every evaluation is NaN
-    if annulus.r ** degree == 0.0 or math.isinf(1.0 / annulus.r ** degree):
-        raise DomainValidationError(
-            f"annulus radius {annulus.r!r} is too small for degree {degree}: 1 / r**{degree} overflows"
-        )
     if budget < 1:
         raise DomainValidationError("budget must be at least 1")
+    if seed < 0:
+        raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
 
     final_samples = 2 * samples
     tier_a = tier_a_bound(annulus, point, final_samples)
@@ -296,9 +304,13 @@ def tier_b_search(
     seed_reflection = np.zeros(size, dtype=complex)
     seed_reflection[degree - 1] = annulus.r
 
+    # the power bases of the normalising scan and of the objective ring are
+    # built once here; every evaluation below is one matrix-vector product
+    scan = _boundary(annulus, _SCAN, degree)
+    ring = _boundary(annulus, samples, degree, point)
     incumbent_value = max(
-        _objective_value(seed_inclusion, annulus, point, samples, False),
-        _objective_value(seed_reflection, annulus, point, samples, False),
+        _objective_value(seed_inclusion, ring, False),
+        _objective_value(seed_reflection, ring, False),
     )
     incumbent = None  # (coefficients, raw value, certificate); None -> Mobius fallback
     rejected_above = -np.inf
@@ -320,10 +332,10 @@ def tier_b_search(
         if evaluations >= stop:
             raise _Exhausted
         evaluations += 1
-        coefficients = _normalized(_decode(x), annulus)
+        coefficients = _normalized(_decode(x), scan)
         if coefficients is None:
             return -1.0
-        value = _objective_value(coefficients, annulus, point, samples, strict=False)
+        value = _objective_value(coefficients, ring, strict=False)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
             certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
             if certificate.status == "certified":
@@ -346,7 +358,8 @@ def tier_b_search(
     if incumbent is not None:
         coefficients, raw_value, certificate = incumbent
         try:
-            final_value = _objective_value(coefficients, annulus, point, final_samples, strict=True)
+            basis = _boundary(annulus, final_samples, degree, point)
+            final_value = _objective_value(coefficients, basis, strict=True)
         except ImageEscapesDisc:
             final_value = None
         # resolution disagreement invalidates the candidate

@@ -191,7 +191,8 @@ def punctured_ball_squeezing(z, dimension: int | None = None) -> BoundCertificat
     vec = np.atleast_1d(np.asarray(z, dtype=complex))
     if dimension is not None and vec.shape != (dimension,):
         raise ShapeMismatch(f"expected a complex {dimension}-vector, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # a norm that overflows to inf is rejected below
+        norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise PunctureEvaluation("the puncture itself is not a point of the domain")
     if norm >= 1.0:

@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, objective
 from squeezing.cli import _env_samples, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -167,6 +173,31 @@ class TestSearch:
         assert record["best_value"] >= record["tier_a_value"] - 1e-9
 
 
+    # at rho = 0.7 the Laurent winner's value changes with the sample count
+    @pytest.mark.parametrize("degree, rho, family", [(0, 0.5, "mobius-inclusion"), (1, 0.7, "laurent")])
+    def test_witness_reproduces_best_value(self, capsys, degree, rho, family):
+        code, out, _ = run_cli(
+            capsys, "search", "--annulus", "0.25", "--rho", str(rho), "--degree", str(degree),
+            "--budget", "40", "--seed", "1",
+        )
+        record = json.loads(out)
+        assert code == 0
+        assert list(record)[9:] == ["budget_exhausted", "witness"]
+        witness = record["witness"]
+        assert witness["family"] == family
+        coefficients = np.array([complex(re, im) for re, im in witness["coefficients"]])
+        if family == "laurent":
+            certificate = InjectivityCertificate(
+                "certified", witness["grid_size"], witness["min_boundary_modulus"]
+            )
+            candidate = EmbeddingCandidate.laurent(coefficients, certificate)
+        else:
+            assert witness["grid_size"] is None and witness["min_boundary_modulus"] is None
+            candidate = EmbeddingCandidate(family, 1, coefficients, "certified")
+        value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
+        assert value == record["best_value"]
+
+
 class TestTable:
     def test_row_count_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--annulus", "0.25", "--samples", "5")
@@ -256,6 +287,7 @@ def test_module_entry_point():
         ("bound", "--punctured-ball", "1", "--punctures", "0", "--point", "1e-320"),
         # r^{-2} overflows on the inner circle: rejected before any evaluation
         ("search", "--annulus", "1e-300", "--rho", "0.5", "--budget", "5"),
+        ("search", "--annulus", "5e-324", "--rho", "0.5", "--degree", "0", "--budget", "1"),
     ],
 )
 def test_invalid_input_exits_two_without_traceback(argv):
@@ -278,3 +310,116 @@ def test_float_formatting_roundtrip(capsys):
     record = json.loads(out)
     assert record["value"] == 2 ** -0.5
     assert "0.70710678118654757" in out
+
+
+# the input contract over the argument space: every argv either yields a
+# record (exit 0) or names the bad token (exit 2), never a traceback
+_RADII = st.floats(0.05, 0.95).map(repr)
+_NUMBERS = st.one_of(
+    _RADII,
+    _RADII,
+    st.sampled_from(["1e300", "-1e200", "1e-300", "5e-324"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1", "1e-320", "0.25", "0.5", "0.9", "", "x",
+                     "0x1", "1,2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_POINTS = st.one_of(
+    _NUMBERS,
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join),
+)
+_DOMAINS = st.one_of(
+    st.sampled_from(["typeI:2,3", "typeII:4", "typeIII:5", "typeIV:3", "typeIII:0", "typeIV:x",
+                     "typeV:1", "ball:3", "ball:-1", "product:", "product:typeIV:3+typeI:1,1",
+                     "product:typeI:1+", "punctured-ball:1", "punctured-ball:2", "punctured-ball:0", ""]),
+    st.text(max_size=12),
+)
+
+
+def _option(name, values, present=3):
+    """[name, value] in ``present`` draws out of ``present + 1``, else nothing."""
+    return st.one_of(st.just([]), *[values.map(lambda v: [name, v])] * present)
+
+
+def _flatten(parts):
+    return [token for part in parts for token in part]
+
+
+# mostly an annulus radius (tiny, near 1 or moderate) and a query radius inside it
+_ANNULUS_RHO = st.tuples(
+    st.one_of(st.floats(0.05, 0.9), st.sampled_from([1e-300, 1e-12, 0.999999])),
+    st.floats(0.01, 0.99),
+).map(lambda ru: ["--annulus", repr(ru[0]), "--rho", repr(ru[0] + (1.0 - ru[0]) * ru[1])])
+_ANNULUS_ARGS = st.one_of(
+    _ANNULUS_RHO,
+    _ANNULUS_RHO,
+    st.tuples(_option("--annulus", _NUMBERS), _option("--rho", _NUMBERS)).map(_flatten),
+)
+_EXACT = st.tuples(
+    st.just(["exact"]), _option("--domain", _DOMAINS), _option("--point", _POINTS, 2),
+    _option("--out", st.sampled_from(["json", "csv", "xml"]), 1),
+)
+_BOUND = st.tuples(
+    st.just(["bound"]),
+    st.one_of(
+        st.tuples(_ANNULUS_ARGS, st.sampled_from([[], ["--caratheodory"]])),
+        st.tuples(_option("--punctured-ball", st.sampled_from(["1", "2", "0", "-3", "1.5", "x"])),
+                  _option("--punctures", st.lists(_POINTS, min_size=1, max_size=2).map(";".join)),
+                  _option("--point", _POINTS)),
+        st.tuples(_option("--c-constant", _POINTS)),
+    ).map(_flatten),
+    _option("--out", st.sampled_from(["json", "csv"]), 1),
+)
+
+
+def _ball_point(n):
+    """n bare reals or n re,im pairs."""
+    return st.sampled_from([n, 2 * n]).flatmap(
+        lambda k: st.lists(_NUMBERS, min_size=k, max_size=k).map(",".join)
+    )
+
+
+_BALL = st.integers(1, 2).flatmap(lambda n: st.one_of(
+    st.tuples(st.just(["exact", "--domain", f"punctured-ball:{n}", "--point"]), _ball_point(n).map(lambda p: [p])),
+    st.tuples(
+        st.just(["bound", "--punctured-ball", str(n), "--punctures"]),
+        st.lists(_ball_point(n), min_size=1, max_size=2).map(lambda ps: [";".join(ps)]),
+        st.just(["--point"]),
+        _ball_point(n).map(lambda p: [p]),
+    ),
+))
+_SEARCH = st.tuples(
+    st.just(["search"]),
+    _ANNULUS_ARGS,
+    st.sampled_from([["--degree", "0"], ["--degree", "1"]]),
+    st.one_of(st.integers(1, 10), st.integers(1, 10), st.integers(-1, 0)).map(lambda b: ["--budget", str(b)]),
+    _option("--seed", st.sampled_from(["0", "7", "-1", "x"])),
+)
+_ARGV = st.one_of(_EXACT, _BOUND, _BALL, _SEARCH).map(_flatten)
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_ARGV)
+def test_cli_input_contract(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))  # an escaping exception is the traceback a user would see
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    assert "RuntimeWarning" not in stderr.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught[0].message)
+    if code == 0:
+        lines = stdout.getvalue().splitlines()
+        assert lines
+        if "csv" not in argv:
+            record = json.loads(lines[0])
+            assert isinstance(record, dict)
+        else:
+            header, row = csv.reader(lines)
+            assert len(header) == len(row)
+    else:
+        assert stderr.getvalue().strip()

@@ -180,6 +180,12 @@ class TestKobayashiBall:
         with pytest.raises(ShapeMismatch):
             kobayashi_distance(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_point_rejected_without_overflow_warning(self):
+        # ||z||^2 overflows to inf, which is outside the ball
+        with pytest.raises(DomainValidationError):
+            kobayashi_distance([1e300, 0.0], np.zeros(2))
+
     def test_ball_mobius_is_involutive(self):
         rng = np.random.default_rng(5)
         a = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 2.0

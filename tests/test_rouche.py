@@ -5,6 +5,7 @@ from squeezing import (
     CircleContour,
     SampledMap,
     injectivity_certificate,
+    laurent_basis,
     laurent_map,
     polynomial_map,
     rouche_dominates,
@@ -150,6 +151,41 @@ class TestRoucheDominance:
         for f, g, combined in cases:
             assert rouche_dominates(f, g, contour)
             assert zero_count(f, contour) == zero_count(combined, contour)
+
+
+class TestLaurentBasis:
+    @pytest.mark.parametrize("degree", range(5))
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_map_and_derivative_match_termwise_sums(self, degree, shape):
+        rng = np.random.default_rng(10 * degree + len(shape))
+        c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        radii = rng.uniform(0.2, 1.5, shape)
+        z = radii * np.exp(2j * np.pi * rng.random(shape))
+        value = np.zeros(shape, dtype=complex)
+        derivative = np.zeros(shape, dtype=complex)
+        value_scale = np.zeros(shape)
+        derivative_scale = np.zeros(shape)
+        for j, k in enumerate(range(-degree, degree + 1)):
+            value = value + c[j] * z ** k
+            derivative = derivative + k * c[j] * z ** (k - 1)
+            value_scale = value_scale + abs(c[j]) * radii ** k
+            derivative_scale = derivative_scale + abs(k * c[j]) * radii ** (k - 1)
+        f = laurent_map(c)
+        assert np.shape(f.evaluator(z)) == shape
+        assert np.all(np.abs(f.evaluator(z) - value) <= 1e-13 * value_scale)
+        assert np.all(np.abs(f.derivative_evaluator(z) - derivative) <= 1e-13 * derivative_scale)
+
+    def test_basis_columns_are_the_laurent_powers(self):
+        z = np.array([0.5 + 0.5j, -2.0])
+        basis = laurent_basis(z, 2)
+        assert basis.shape == (2, 5)
+        assert np.array_equal(basis[:, 2], np.ones(2))
+        assert np.array_equal(basis[:, 3], z)
+        assert np.allclose(basis[:, 0], z ** -2.0, rtol=1e-15)
+
+    def test_even_length_rejected(self):
+        with pytest.raises(DomainValidationError):
+            laurent_map([0, 1])
 
 
 class TestInjectivityCertificate:

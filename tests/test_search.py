@@ -10,12 +10,14 @@ from squeezing import (
     annulus_lower_bound,
     annulus_minimum_value,
     injectivity_certificate,
+    laurent_basis,
     laurent_map,
     monotonicity_scan,
     objective,
     tier_a_bound,
     tier_b_search,
 )
+from squeezing import search
 from squeezing.errors import (
     DomainValidationError,
     ImageEscapesDisc,
@@ -142,9 +144,33 @@ class TestTierB:
             tier_b_search(QUARTER, 0.5, degree=5, budget=10, seed=0)
         with pytest.raises(DomainValidationError):
             tier_b_search(QUARTER, 0.5, degree=2, budget=0, seed=0)
+        with pytest.raises(DomainValidationError, match="seed"):
+            tier_b_search(QUARTER, 0.5, degree=1, budget=10, seed=-1)
         # r^{-2} overflows on the inner circle of this annulus
         with pytest.raises(DomainValidationError, match="annulus radius 1e-300"):
             tier_b_search(Annulus(1e-300), 0.5, degree=2, budget=10, seed=0)
+        # tier A evaluates the reflection r/z, whose z^{-1} overflows at a subnormal r
+        with pytest.raises(DomainValidationError, match="annulus radius 5e-324"):
+            tier_b_search(Annulus(5e-324), 0.5, degree=0, budget=10, seed=0)
+
+
+    def test_power_bases_are_built_once_per_search(self, monkeypatch):
+        built = []
+
+        def counting(z, degree):
+            built.append(np.size(z))
+            return laurent_basis(z, degree)
+
+        monkeypatch.setattr(search, "laurent_basis", counting)
+        counts = []
+        for budget in (20, 200):
+            built.clear()
+            result = tier_b_search(QUARTER, 0.5, degree=1, budget=budget, seed=1)
+            assert result.evaluations == budget
+            assert result.best_candidate.family == "laurent"
+            counts.append(len(built))
+        # tier A, the scan, the objective ring and the final re-evaluation
+        assert counts == [4, 4]
 
 
 class TestMonotonicityScan:
