@@ -185,8 +185,21 @@ def _env_samples() -> int:
 # subcommands
 
 
+#: Options that some `exact` or `bound` modes read and others do not.
+_MODE_OPTIONS = ("rho", "caratheodory", "punctures", "point")
+
+
+def _reject_unread(args, reads, mode: str) -> None:
+    """Exit 2 naming any of _MODE_OPTIONS given to a mode that does not read it."""
+    for name in _MODE_OPTIONS:
+        value = getattr(args, name, None)
+        if name not in reads and value is not None and value is not False:
+            raise CLIError(f"--{name} is not read by {mode}")
+
+
 def cmd_exact(args) -> int:
     token = args.domain
+    _reject_unread(args, ("point",) if token.startswith("punctured-ball:") else (), f"--domain {token}")
     if token.startswith("product:"):
         factors = token[len("product:"):].split("+")
         if not factors or factors == [""]:
@@ -212,11 +225,20 @@ def cmd_exact(args) -> int:
     return 0
 
 
+#: The options each `bound` mode reads besides its own.
+_BOUND_READS = {
+    "annulus": ("rho", "caratheodory"),
+    "punctured_ball": ("punctures", "point"),
+    "excised": ("point",),
+    "c_constant": (),
+}
+
+
 def cmd_bound(args) -> int:
-    modes = [args.annulus is not None, args.punctured_ball is not None,
-             args.excised is not None, args.c_constant is not None]
-    if sum(modes) != 1:
+    modes = [mode for mode in _BOUND_READS if getattr(args, mode) is not None]
+    if len(modes) != 1:
         raise CLIError("choose exactly one of --annulus, --punctured-ball, --excised, --c-constant")
+    _reject_unread(args, _BOUND_READS[modes[0]], "--" + modes[0].replace("_", "-"))
 
     if args.annulus is not None:
         if args.rho is None:

@@ -8,15 +8,18 @@ contour forces f and f + g to enclose equally many zeros; applying that
 fact to f - w over a grid of targets w yields a conservative, finite check
 that a map hits no target twice inside an annulus, at two resolutions
 taken from one evaluation at 2N samples (the N-sample count reads the
-even-indexed nodes).  The certificate is a numerical statement only:
-"inconclusive" is an allowed terminal state and consumers must treat it as
-unusable, never as a certification.
+even-indexed nodes).  That pass evaluates f and f' once per circle and then
+walks the targets in cache-sized row blocks through one reused buffer, so its
+memory does not grow with the target grid.  The certificate is a numerical
+statement only: "inconclusive" is an allowed terminal state, reported with
+the number of targets that failed each trust test, and consumers must treat
+it as unusable, never as a certification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,10 @@ MAX_SAMPLES = 2 ** 16
 
 _STABLE_TOL = 1e-10
 _DOMINANCE_SAFETY = 1.05
+
+#: Size of the targets x samples complex block the argument-principle pass
+#: works on: small enough to stay in cache across its elementwise passes.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,11 +79,21 @@ class CountResult:
     samples: int
 
 
+class InconclusiveReason(NamedTuple):
+    """Targets whose count was not trusted, each under the first test it
+    failed in this order, so the three numbers add up to the untrusted targets."""
+
+    guard: int  # min |f - w| on the contours at or below the guard
+    snap: int  # a resolution's sum farther than SNAP_WINDOW from an integer
+    disagreement: int  # the two resolutions snap to different integers
+
+
 @dataclass(frozen=True)
 class InjectivityCertificate:
     status: str  # certified | refuted | inconclusive
     grid_size: int
     min_boundary_modulus: float
+    reason: InconclusiveReason | None = None  # set only when inconclusive
 
 
 def polynomial_map(coefficients) -> SampledMap:
@@ -145,23 +162,39 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
 
 def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n: int):
     """Per-target argument-principle sums of f - w at n and at the even-indexed
-    n/2 samples per contour, and the margins min |f - w|; f, f' evaluated once."""
-    fine = np.zeros(len(targets), dtype=complex)
-    coarse = np.zeros(len(targets), dtype=complex)
-    margins = np.full(len(targets), np.inf)
+    n/2 samples per contour, and the margins min |f - w|.
+
+    f and f' are evaluated once per contour; the targets are then walked in
+    blocks of ``max(1, _BLOCK_BYTES // (16 * n))`` rows through one reused
+    rows x n buffer, both contours per block, so the elementwise passes stay
+    in cache and memory does not grow with the target count.  Each target's
+    arithmetic is the whole-matrix pass's, in the same order.
+    """
+    count = len(targets)
+    fine = np.zeros(count, dtype=complex)
+    coarse = np.zeros(count, dtype=complex)
+    margins = np.full(count, np.inf)
+    sampled = []
     for contour in contours:
         z, ring = _circle_nodes(contour, n)
         values = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape)
         derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
-        shifted = values[None, :] - targets[:, None]
-        margins = np.minimum(margins, np.abs(shifted).min(axis=1))
-        # targets touching the image curve produce non-finite rows; they are
-        # rejected by the guard margin, so the division may proceed silently
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(derivatives, shifted, out=shifted)
-            shifted *= ring
-        fine += contour.orientation * shifted.mean(axis=1)
-        coarse += contour.orientation * shifted[:, ::2].mean(axis=1)
+        sampled.append((contour.orientation, ring, values, derivatives))
+    rows = max(1, _BLOCK_BYTES // (16 * n))
+    buffer = np.empty((min(rows, count), n), dtype=complex)
+    for start in range(0, count, rows):
+        block = buffer[: min(rows, count - start)]
+        part = slice(start, start + len(block))
+        for orientation, ring, values, derivatives in sampled:
+            np.subtract(values, targets[part, None], out=block)
+            margins[part] = np.minimum(margins[part], np.abs(block).min(axis=1))
+            # targets touching the image curve produce non-finite rows; they are
+            # rejected by the guard margin, so the arithmetic may proceed silently
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(derivatives, block, out=block)
+                block *= ring
+                fine[part] += orientation * block.mean(axis=1)
+                coarse[part] += orientation * block[:, ::2].mean(axis=1)
     return fine, coarse, margins
 
 
@@ -247,7 +280,9 @@ def injectivity_certificate(
     one evaluation, at samples nodes per circle.  Any trustworthy count >= 2
     refutes injectivity; the certificate is "certified" only when every
     target yields a trustworthy count <= 1, and "inconclusive" otherwise
-    (guard violations and unstable quadrature are never certified).
+    (guard violations and unstable quadrature are never certified); an
+    inconclusive certificate's ``reason`` counts the untrusted targets by the
+    test they failed.
 
     ``annulus`` may be the inner radius itself or any object with an ``r``
     attribute.  A certificate over a finite grid is numerical evidence, not a
@@ -275,19 +310,19 @@ def injectivity_certificate(
     coarse_residual = np.abs(coarse - coarse_nearest)
     # a count is trusted only when the guard margin holds and both
     # resolutions snap to the same integer within the window
-    trustworthy = (
-        (margins > guard)
-        & (residual <= SNAP_WINDOW)
-        & (coarse_residual <= SNAP_WINDOW)
-        & (nearest == coarse_nearest)
-    )
+    guarded = margins > guard
+    snapped = guarded & (residual <= SNAP_WINDOW) & (coarse_residual <= SNAP_WINDOW)
+    trustworthy = snapped & (nearest == coarse_nearest)
     counts = nearest.astype(int)
 
     min_margin = float(margins.min())
     if np.any(trustworthy & (counts >= 2)):
-        status = "refuted"
-    elif np.all(trustworthy) and np.all(counts <= 1):
-        status = "certified"
-    else:
-        status = "inconclusive"
-    return InjectivityCertificate(status, grid, min_margin)
+        return InjectivityCertificate("refuted", grid, min_margin)
+    if np.all(trustworthy) and np.all(counts <= 1):
+        return InjectivityCertificate("certified", grid, min_margin)
+    reason = InconclusiveReason(
+        int(np.count_nonzero(~guarded)),
+        int(np.count_nonzero(guarded & ~snapped)),
+        int(np.count_nonzero(snapped & ~trustworthy)),
+    )
+    return InjectivityCertificate("inconclusive", grid, min_margin, reason)

@@ -288,6 +288,9 @@ def test_module_entry_point():
         # r^{-2} overflows on the inner circle: rejected before any evaluation
         ("search", "--annulus", "1e-300", "--rho", "0.5", "--budget", "5"),
         ("search", "--annulus", "5e-324", "--rho", "0.5", "--degree", "0", "--budget", "1"),
+        # options the mode does not read are named, not ignored
+        ("exact", "--domain", "typeI:2,3", "--point", "nan"),
+        ("bound", "--annulus", "0.25", "--rho", "0.5", "--point", "x"),
     ],
 )
 def test_invalid_input_exits_two_without_traceback(argv):
@@ -303,6 +306,9 @@ def test_invalid_input_exits_two_without_traceback(argv):
     assert "RuntimeWarning" not in proc.stderr
     if argv[0] == "search":
         assert "annulus" in proc.stderr
+    unread = _unread_option(argv)
+    if unread:
+        assert unread in proc.stderr
 
 
 def test_float_formatting_roundtrip(capsys):
@@ -361,11 +367,12 @@ _EXACT = st.tuples(
 _BOUND = st.tuples(
     st.just(["bound"]),
     st.one_of(
-        st.tuples(_ANNULUS_ARGS, st.sampled_from([[], ["--caratheodory"]])),
+        st.tuples(_ANNULUS_ARGS, st.sampled_from([[], ["--caratheodory"]]), _option("--point", _POINTS, 1)),
         st.tuples(_option("--punctured-ball", st.sampled_from(["1", "2", "0", "-3", "1.5", "x"])),
                   _option("--punctures", st.lists(_POINTS, min_size=1, max_size=2).map(";".join)),
-                  _option("--point", _POINTS)),
-        st.tuples(_option("--c-constant", _POINTS)),
+                  _option("--point", _POINTS),
+                  st.sampled_from([[], [], ["--caratheodory"]])),
+        st.tuples(_option("--c-constant", _POINTS), _option("--rho", _NUMBERS, 1)),
     ).map(_flatten),
     _option("--out", st.sampled_from(["json", "csv"]), 1),
 )
@@ -396,6 +403,28 @@ _SEARCH = st.tuples(
 )
 _ARGV = st.one_of(_EXACT, _BOUND, _BALL, _SEARCH).map(_flatten)
 
+# options each bound mode reads besides its own flag
+_BOUND_READS = {
+    "--annulus": {"--rho", "--caratheodory"},
+    "--punctured-ball": {"--punctures", "--point"},
+    "--c-constant": set(),
+}
+
+
+def _unread_option(argv):
+    """The first option in ``argv`` that its exact/bound mode does not read."""
+    if argv[0] == "exact" and "--domain" in argv:
+        punctured = argv[argv.index("--domain") + 1].startswith("punctured-ball:")
+        unread = set() if punctured else {"--point"}
+    elif argv[0] == "bound":
+        modes = [flag for flag in _BOUND_READS if flag in argv]
+        if len(modes) != 1:
+            return None
+        unread = {"--rho", "--caratheodory", "--punctures", "--point"} - _BOUND_READS[modes[0]]
+    else:
+        return None
+    return next((flag for flag in argv if flag in unread), None)
+
 
 @settings(max_examples=120, deadline=None)
 @given(argv=_ARGV)
@@ -409,6 +438,8 @@ def test_cli_input_contract(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 2), (argv, code, stderr.getvalue())
+    if _unread_option(argv):
+        assert code == 2, argv
     assert "Traceback" not in stderr.getvalue()
     assert "RuntimeWarning" not in stderr.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught[0].message)

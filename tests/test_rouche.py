@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from squeezing import (
 )
 from squeezing.checks import injective_corpus, noninjective_corpus
 from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
-from squeezing.rouche import _argument_sums
+from squeezing.rouche import (
+    GUARD_THRESHOLD,
+    SNAP_WINDOW,
+    _BLOCK_BYTES,
+    _argument_sums,
+    _circle_nodes,
+    _range_box,
+)
 
 
 def monomial(k):
@@ -39,6 +48,39 @@ def annulus_sums_at(f, inner_radius, targets, n):
                 derivatives[None, :] / shifted * ring[None, :], axis=1
             )
     return totals, margins
+
+
+def whole_matrix_sums(f, contours, targets, n):
+    """Reference: the argument-principle pass on one whole targets x n matrix
+    per contour, with the same operations in the same order as the kernel."""
+    fine = np.zeros(len(targets), dtype=complex)
+    coarse = np.zeros(len(targets), dtype=complex)
+    margins = np.full(len(targets), np.inf)
+    for contour in contours:
+        z, ring = _circle_nodes(contour, n)
+        values = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape)
+        derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
+        shifted = values[None, :] - targets[:, None]
+        margins = np.minimum(margins, np.abs(shifted).min(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(derivatives, shifted, out=shifted)
+            shifted *= ring
+            fine += contour.orientation * shifted.mean(axis=1)
+            coarse += contour.orientation * shifted[:, ::2].mean(axis=1)
+    return fine, coarse, margins
+
+
+# a generic degree-2 Laurent map, close to the identity
+MILD = laurent_map([0.01, 0.05j, 0.02, 1.0, 0.1 - 0.03j])
+
+# an inconclusive candidate met by the README search (r = 0.25, rho = 0.5, seed 42)
+README_INCONCLUSIVE = laurent_map([
+    -0.009857639192071185 + 0.0024619576489650426j,
+    0.0030014304405709285 + 0.0030014304405709285j,
+    0.0030014304405709285 + 0.0030014304405709285j,
+    0.9838610515421815 + 0.0030014304405709285j,
+    0.0030014304405709285 + 0.0030014304405709285j,
+])
 
 
 class TestContourValidation:
@@ -127,6 +169,30 @@ class TestArgumentSums:
             assert np.all(margins[-2:] == 0.0)
             assert not np.any(np.isfinite(fine[-2:]))
             assert not np.any(np.isfinite(coarse[-2:]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [128, 4096, 16384])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 1), (3, 5)])
+    def test_blocks_match_whole_matrix(self, n, blocks, extra):
+        rows = max(1, _BLOCK_BYTES // (16 * n))
+        count = blocks * rows + extra
+        rng = np.random.default_rng(n + count)
+        targets = 1.2 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        contours = unit_annulus_contours(0.4)
+        on_curve = min(count // rows // 2 * rows + rows // 2, count - 2)
+        if count >= 3:
+            # the image of an outer node, inside a block and between finite rows
+            z, _ = _circle_nodes(contours[0], n)
+            targets[on_curve] = MILD.evaluator(z)[n // 3]
+        fine, coarse, margins = _argument_sums(MILD, contours, targets, n)
+        fine_ref, coarse_ref, margins_ref = whole_matrix_sums(MILD, contours, targets, n)
+        assert np.array_equal(fine, fine_ref, equal_nan=True)
+        assert np.array_equal(coarse, coarse_ref, equal_nan=True)
+        assert np.array_equal(margins, margins_ref, equal_nan=True)
+        if count >= 3:
+            assert margins[on_curve] == 0.0
+            assert not np.isfinite(fine[on_curve])
+            assert np.all(np.isfinite(np.delete(fine, on_curve)))
 
 
 class TestRoucheDominance:
@@ -226,3 +292,42 @@ class TestInjectivityCertificate:
     def test_grid_validation(self):
         with pytest.raises(DomainValidationError):
             injectivity_certificate(laurent_map([0, 0, 1]), 0.5, target_grid=1)
+
+    def test_reason_only_when_inconclusive(self):
+        assert injectivity_certificate(laurent_map([0, 0, 1]), 0.5, target_grid=8).reason is None
+        assert injectivity_certificate(laurent_map([0, 0, 0, 0, 1]), 0.5, target_grid=8).reason is None
+
+    def test_inconclusive_reason_counts_untrusted_targets(self):
+        cert = injectivity_certificate(README_INCONCLUSIVE, 0.25)
+        assert cert.status == "inconclusive"
+        assert cert.reason == (0, 3, 0)
+        # recount target by target, each under the first test it fails
+        re_low, re_high, im_low, im_high = _range_box(README_INCONCLUSIVE, 0.25)
+        xs = re_low + (np.arange(16) + 0.5) * (re_high - re_low) / 16
+        ys = im_low + (np.arange(16) + 0.5) * (im_high - im_low) / 16
+        targets = (xs[:, None] + 1j * ys[None, :]).ravel()
+        fine, coarse, margins = _argument_sums(
+            README_INCONCLUSIVE, unit_annulus_contours(0.25), targets, 4096
+        )
+        failed = {"guard": 0, "snap": 0, "disagreement": 0}
+        for total, half, margin in zip(fine, coarse, margins):
+            if not margin > GUARD_THRESHOLD:
+                failed["guard"] += 1
+            elif max(abs(total - round(total.real)), abs(half - round(half.real))) > SNAP_WINDOW:
+                failed["snap"] += 1
+            elif round(total.real) != round(half.real):
+                failed["disagreement"] += 1
+        assert cert.reason._asdict() == failed
+
+
+class TestCertificateMemory:
+    @pytest.mark.parametrize("grid", [32, 64])
+    def test_peak_does_not_grow_with_the_grid(self, grid):
+        # a whole targets x 4096 matrix per circle would take 64 MiB at grid 32
+        tracemalloc.start()
+        try:
+            injectivity_certificate(MILD, 0.4, target_grid=grid, samples=2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
