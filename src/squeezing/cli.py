@@ -338,6 +338,7 @@ def cmd_search(args) -> int:
             "grid_size": None if certificate is None else certificate.grid_size,
             "min_boundary_modulus": None if certificate is None else certificate.min_boundary_modulus,
         },
+        "certificates": result.certificates._asdict(),
     }
     print(_encode_json(record))
     return 0
@@ -367,6 +368,9 @@ def cmd_check(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
     samples = _env_samples()
+    if samples & (samples - 1):
+        # the suites build contours from it, and contours need a power of two
+        raise CLIError(f"SQUEEZE_SAMPLES must be a power of two for check, got {samples}")
     results = run_suite(args.suite, None if samples == DEFAULT_SAMPLES else samples)
     failures = 0
     for result in results:

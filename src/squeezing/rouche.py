@@ -10,7 +10,10 @@ that a map hits no target twice inside an annulus, at two resolutions
 taken from one evaluation at 2N samples (the N-sample count reads the
 even-indexed nodes).  That pass evaluates f and f' once per circle and then
 walks the targets in cache-sized row blocks through one reused buffer, so its
-memory does not grow with the target grid.  The certificate is a numerical
+memory does not grow with the target grid.  The certificate walks its targets
+centre-out and, once a block holds a trusted count >= 2, settles as refuted
+and computes only the remaining targets' guard margins; its outcome does not
+depend on the target order.  The certificate is a numerical
 statement only: "inconclusive" is an allowed terminal state, reported with
 the number of targets that failed each trust test, and consumers must treat
 it as unusable, never as a certification.
@@ -160,7 +163,9 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
     return tuple(contours)
 
 
-def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n: int):
+def _argument_sums(
+    f: SampledMap, contours: Sequence[CircleContour], targets, n: int, stop: Callable | None = None
+):
     """Per-target argument-principle sums of f - w at n and at the even-indexed
     n/2 samples per contour, and the margins min |f - w|.
 
@@ -169,6 +174,10 @@ def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n:
     rows x n buffer, both contours per block, so the elementwise passes stay
     in cache and memory does not grow with the target count.  Each target's
     arithmetic is the whole-matrix pass's, in the same order.
+
+    ``stop``, if given, is called with one finished block's ``(fine, coarse,
+    margins)``; once it returns True the later blocks compute their margins
+    only, and their fine and coarse sums stay 0.
     """
     count = len(targets)
     fine = np.zeros(count, dtype=complex)
@@ -182,12 +191,15 @@ def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n:
         sampled.append((contour.orientation, ring, values, derivatives))
     rows = max(1, _BLOCK_BYTES // (16 * n))
     buffer = np.empty((min(rows, count), n), dtype=complex)
+    stopped = False
     for start in range(0, count, rows):
         block = buffer[: min(rows, count - start)]
         part = slice(start, start + len(block))
         for orientation, ring, values, derivatives in sampled:
             np.subtract(values, targets[part, None], out=block)
             margins[part] = np.minimum(margins[part], np.abs(block).min(axis=1))
+            if stopped:
+                continue
             # targets touching the image curve produce non-finite rows; they are
             # rejected by the guard margin, so the arithmetic may proceed silently
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,6 +207,8 @@ def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], targets, n:
                 block *= ring
                 fine[part] += orientation * block.mean(axis=1)
                 coarse[part] += orientation * block[:, ::2].mean(axis=1)
+        if stop is not None and not stopped:
+            stopped = bool(stop(fine[part], coarse[part], margins[part]))
     return fine, coarse, margins
 
 
@@ -265,6 +279,34 @@ def _range_box(f: SampledMap, inner_radius: float):
     return re_low, re_high, im_low, im_high
 
 
+def _trusted_counts(fine, coarse, margins, guard: float):
+    """Nearest counts and the nested trust masks (guarded, snapped, trustworthy).
+
+    A count is trusted only when the guard margin holds and both resolutions
+    snap to the same integer within the window.
+    """
+    nearest = np.rint(fine.real)
+    coarse_nearest = np.rint(coarse.real)
+    guarded = margins > guard
+    snapped = (
+        guarded
+        & (np.abs(fine - nearest) <= SNAP_WINDOW)
+        & (np.abs(coarse - coarse_nearest) <= SNAP_WINDOW)
+    )
+    trustworthy = snapped & (nearest == coarse_nearest)
+    return nearest, guarded, snapped, trustworthy
+
+
+def _refutes(fine, coarse, margins, guard: float) -> bool:
+    """True iff some target has a trusted count >= 2."""
+    # rint(x) >= 2 exactly when x >= 1.5, so most blocks skip the trust tests;
+    # np.any, not max: a NaN sum would hide a refuting one from max
+    if not np.any(fine.real >= 1.5):
+        return False
+    nearest, _, _, trustworthy = _trusted_counts(fine, coarse, margins, guard)
+    return bool(np.any(trustworthy & (nearest >= 2)))
+
+
 def injectivity_certificate(
     f: SampledMap,
     annulus,
@@ -284,6 +326,13 @@ def injectivity_certificate(
     inconclusive certificate's ``reason`` counts the untrusted targets by the
     test they failed.
 
+    The targets are walked centre-out, nearest the centre of the range box
+    first, where folds near the image of the inner circle tend to sit; once a
+    block holds a trusted count >= 2 the later targets get their guard
+    margins only.  The outcome does not depend on the order: a refutation
+    needs one trusted count >= 2, and the margins, hence
+    ``min_boundary_modulus``, are computed for every target.
+
     ``annulus`` may be the inner radius itself or any object with an ``r``
     attribute.  A certificate over a finite grid is numerical evidence, not a
     proof of univalence.
@@ -299,26 +348,22 @@ def injectivity_certificate(
     xs = re_low + (np.arange(grid) + 0.5) * (re_high - re_low) / grid
     ys = im_low + (np.arange(grid) + 0.5) * (im_high - im_low) / grid
     targets = (xs[:, None] + 1j * ys[None, :]).ravel()
+    centre = complex(0.5 * (re_low + re_high), 0.5 * (im_low + im_high))
+    targets = targets[np.argsort(np.abs(targets - centre), kind="stable")]
 
     fine, coarse, margins = _argument_sums(
-        f, unit_annulus_contours(inner_radius), targets, 2 * samples
+        f,
+        unit_annulus_contours(inner_radius),
+        targets,
+        2 * samples,
+        stop=lambda *sums: _refutes(*sums, guard),
     )
 
-    nearest = np.rint(fine.real)
-    residual = np.abs(fine - nearest)
-    coarse_nearest = np.rint(coarse.real)
-    coarse_residual = np.abs(coarse - coarse_nearest)
-    # a count is trusted only when the guard margin holds and both
-    # resolutions snap to the same integer within the window
-    guarded = margins > guard
-    snapped = guarded & (residual <= SNAP_WINDOW) & (coarse_residual <= SNAP_WINDOW)
-    trustworthy = snapped & (nearest == coarse_nearest)
-    counts = nearest.astype(int)
-
     min_margin = float(margins.min())
-    if np.any(trustworthy & (counts >= 2)):
+    if _refutes(fine, coarse, margins, guard):
         return InjectivityCertificate("refuted", grid, min_margin)
-    if np.all(trustworthy) and np.all(counts <= 1):
+    nearest, guarded, snapped, trustworthy = _trusted_counts(fine, coarse, margins, guard)
+    if np.all(trustworthy) and np.all(nearest <= 1):
         return InjectivityCertificate("certified", grid, min_margin)
     reason = InconclusiveReason(
         int(np.count_nonzero(~guarded)),

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,11 +94,20 @@ class EmbeddingCandidate:
         return cls("laurent", len(c) // 2, c, certificate.status, certificate)
 
 
+class CertificateAttempts(NamedTuple):
+    """Injectivity certificates a search ran, counted by status."""
+
+    certified: int = 0
+    refuted: int = 0
+    inconclusive: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of a search; ``budget_exhausted`` is True when at least one
     simplex start was cut off by its share of the evaluation budget, and
-    False when every start converged within its share."""
+    False when every start converged within its share.  ``certificates``
+    counts the injectivity certificates the search ran, by status."""
 
     best_value: float
     best_candidate: EmbeddingCandidate
@@ -107,6 +116,7 @@ class SearchResult:
     evaluations: int
     seed: int
     budget_exhausted: bool = False
+    certificates: CertificateAttempts = CertificateAttempts()
 
     @property
     def conjecture_gap(self) -> float:
@@ -326,6 +336,7 @@ def tier_b_search(
     evaluations = 0
     stop = 0  # evaluation count at which the running start is cut off
     exhausted = False
+    attempts = dict.fromkeys(CertificateAttempts._fields, 0)
 
     def raw(x: np.ndarray) -> float:
         nonlocal evaluations, incumbent, incumbent_value, rejected_above
@@ -338,6 +349,7 @@ def tier_b_search(
         value = _objective_value(coefficients, ring, strict=False)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
             certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
+            attempts[certificate.status] += 1
             if certificate.status == "certified":
                 incumbent = (coefficients.copy(), value, certificate)
                 incumbent_value = value
@@ -379,6 +391,7 @@ def tier_b_search(
         evaluations=evaluations,
         seed=seed,
         budget_exhausted=exhausted,
+        certificates=CertificateAttempts(**attempts),
     )
 
 

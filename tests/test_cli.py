@@ -172,6 +172,16 @@ class TestSearch:
         record = json.loads(out)
         assert record["best_value"] >= record["tier_a_value"] - 1e-9
 
+    def test_readme_search_reports_certificate_outcomes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "--annulus", "0.25", "--rho", "0.5", "--degree", "2",
+            "--budget", "500", "--seed", "42",
+        )
+        record = json.loads(out)
+        assert code == 0
+        assert record["best_value"] == 0.37674501101886787
+        assert list(record)[-1] == "certificates"
+        assert record["certificates"] == {"certified": 1, "refuted": 6, "inconclusive": 2}
 
     # at rho = 0.7 the Laurent winner's value changes with the sample count
     @pytest.mark.parametrize("degree, rho, family", [(0, 0.5, "mobius-inclusion"), (1, 0.7, "laurent")])
@@ -182,7 +192,7 @@ class TestSearch:
         )
         record = json.loads(out)
         assert code == 0
-        assert list(record)[9:] == ["budget_exhausted", "witness"]
+        assert list(record)[9:] == ["budget_exhausted", "witness", "certificates"]
         witness = record["witness"]
         assert witness["family"] == family
         coefficients = np.array([complex(re, im) for re, im in witness["coefficients"]])
@@ -267,6 +277,28 @@ class TestEnvironment:
         )
         assert code == 2
         assert "SQUEEZE_SAMPLES" in err
+
+    @pytest.mark.parametrize("suite", ["rouche", "all"])
+    def test_check_names_a_samples_value_that_is_not_a_power_of_two(self, suite):
+        proc = subprocess.run(
+            [sys.executable, "-m", "squeezing", "check", "--suite", suite],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "SQUEEZE_SAMPLES": "100"},
+        )
+        assert proc.returncode == 2
+        assert "SQUEEZE_SAMPLES" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_search_accepts_samples_that_are_not_a_power_of_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SQUEEZE_SAMPLES", "100")
+        code, out, _ = run_cli(
+            capsys, "search", "--annulus", "0.25", "--rho", "0.5", "--degree", "1",
+            "--budget", "10", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["witness"]["samples"] == 100
 
 
 def test_module_entry_point():

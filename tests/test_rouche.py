@@ -16,14 +16,18 @@ from squeezing import (
     zero_count_detailed,
 )
 from squeezing.checks import injective_corpus, noninjective_corpus
+from squeezing import rouche
 from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
 from squeezing.rouche import (
     GUARD_THRESHOLD,
     SNAP_WINDOW,
     _BLOCK_BYTES,
+    InconclusiveReason,
+    InjectivityCertificate,
     _argument_sums,
     _circle_nodes,
     _range_box,
+    _refutes,
 )
 
 
@@ -68,6 +72,69 @@ def whole_matrix_sums(f, contours, targets, n):
             fine += contour.orientation * shifted.mean(axis=1)
             coarse += contour.orientation * shifted[:, ::2].mean(axis=1)
     return fine, coarse, margins
+
+
+def raster_targets(f, inner_radius, grid):
+    """The certificate's cell-centred target grid in raster order."""
+    re_low, re_high, im_low, im_high = _range_box(f, inner_radius)
+    xs = re_low + (np.arange(grid) + 0.5) * (re_high - re_low) / grid
+    ys = im_low + (np.arange(grid) + 0.5) * (im_high - im_low) / grid
+    return (xs[:, None] + 1j * ys[None, :]).ravel()
+
+
+def raster_certificate(f, inner_radius, grid, samples, guard=GUARD_THRESHOLD):
+    """Reference: the certificate as one whole pass over the targets in raster
+    order, classified once every target's count is in."""
+    targets = raster_targets(f, inner_radius, grid)
+    fine, coarse, margins = _argument_sums(
+        f, unit_annulus_contours(inner_radius), targets, 2 * samples
+    )
+    nearest = np.rint(fine.real)
+    coarse_nearest = np.rint(coarse.real)
+    guarded = margins > guard
+    snapped = (
+        guarded
+        & (np.abs(fine - nearest) <= SNAP_WINDOW)
+        & (np.abs(coarse - coarse_nearest) <= SNAP_WINDOW)
+    )
+    trustworthy = snapped & (nearest == coarse_nearest)
+    min_margin = float(margins.min())
+    if np.any(trustworthy & (nearest >= 2)):
+        return InjectivityCertificate("refuted", grid, min_margin)
+    if np.all(trustworthy) and np.all(nearest <= 1):
+        return InjectivityCertificate("certified", grid, min_margin)
+    reason = InconclusiveReason(
+        int(np.count_nonzero(~guarded)),
+        int(np.count_nonzero(guarded & ~snapped)),
+        int(np.count_nonzero(snapped & ~trustworthy)),
+    )
+    return InjectivityCertificate("inconclusive", grid, min_margin, reason)
+
+
+def seeded_laurent_cases(count, seed):
+    """Laurent maps near the identity, near a Joukowski fold, near z^m, and
+    generic ones, with the annulus, grid and samples drawn alongside."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 5))
+        r = float(rng.uniform(0.15, 0.7))
+        grid = int(rng.choice([4, 8, 16]))
+        samples = int(rng.choice([256, 512, 1024]))
+        kind = int(rng.integers(0, 4))
+        noise = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
+        c = np.zeros(2 * m + 1, dtype=complex)
+        if kind == 0:
+            c[m + 1] = 1.0
+            c += 0.05 * noise
+        elif kind == 1:
+            c[m + 1] = 1.0
+            c[m - 1] = r * r * rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        elif kind == 2:
+            c[-1] = 1.0
+            c += 0.1 * noise
+        else:
+            c = 0.3 * noise
+        yield laurent_map(c), r, grid, samples
 
 
 # a generic degree-2 Laurent map, close to the identity
@@ -195,6 +262,68 @@ class TestArgumentSums:
             assert np.all(np.isfinite(np.delete(fine, on_curve)))
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    def test_stop_leaves_the_later_blocks_at_zero(self, n, k):
+        rows = max(1, _BLOCK_BYTES // (16 * n))
+        count = 3 * rows + 5  # four blocks, the last one short
+        k %= -(-count // rows)
+        rng = np.random.default_rng(n + k)
+        targets = 1.2 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        contours = unit_annulus_contours(0.4)
+        seen = []
+
+        def stop(fine, coarse, margins):
+            seen.append((fine.copy(), coarse.copy(), margins.copy()))
+            return len(seen) == k + 1
+
+        fine, coarse, margins = _argument_sums(MILD, contours, targets, n, stop=stop)
+        fine_ref, coarse_ref, margins_ref = _argument_sums(MILD, contours, targets, n)
+        assert len(seen) == k + 1
+        for index, (block_fine, block_coarse, block_margins) in enumerate(seen):
+            part = slice(index * rows, (index + 1) * rows)
+            assert np.array_equal(block_fine, fine_ref[part])
+            assert np.array_equal(block_coarse, coarse_ref[part])
+            assert np.array_equal(block_margins, margins_ref[part])
+        done = min(count, (k + 1) * rows)
+        assert np.array_equal(fine[:done], fine_ref[:done])
+        assert np.array_equal(coarse[:done], coarse_ref[:done])
+        assert np.array_equal(margins, margins_ref)
+        assert not np.any(fine[done:]) and not np.any(coarse[done:])
+        assert done == count or np.any(fine_ref[done:] != 0)
+
+
+class TestRefutes:
+    def test_nan_sum_does_not_hide_a_refuting_one(self):
+        # the first target touches the image curve: margin 0 and a NaN sum
+        fine = np.array([np.nan + 0j, 2.0 + 1e-15j, 0.0])
+        coarse = np.array([np.nan + 0j, 2.0 - 1e-15j, 0.0])
+        margins = np.array([0.0, 0.1, 0.1])
+        assert _refutes(fine, coarse, margins, GUARD_THRESHOLD)
+        assert _refutes(fine[::-1], coarse[::-1], margins[::-1], GUARD_THRESHOLD)
+
+    def test_matches_the_trust_tests(self):
+        # sums around the pre-test's threshold 1.5 and the snap window
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            size = int(rng.integers(1, 6))
+            fine = rng.choice([0.0, 1.0, 1.45, 1.5, 1.9, 2.0, 2.1, 3.0, np.nan], size) + 1j * (
+                rng.choice([0.0, 0.05, 0.2], size)
+            )
+            coarse = fine + rng.choice([0.0, 0.05, 1.0], size)
+            margins = rng.choice([0.0, GUARD_THRESHOLD, 1.0], size)
+            nearest = np.rint(fine.real)
+            trusted = (
+                (margins > GUARD_THRESHOLD)
+                & (np.abs(fine - nearest) <= SNAP_WINDOW)
+                & (np.abs(coarse - np.rint(coarse.real)) <= SNAP_WINDOW)
+                & (nearest == np.rint(coarse.real))
+            )
+            expected = bool(np.any(trusted & (nearest >= 2)))
+            assert _refutes(fine, coarse, margins, GUARD_THRESHOLD) == expected
+
+
 class TestRoucheDominance:
     def test_dominates(self):
         contour = CircleContour()
@@ -302,10 +431,7 @@ class TestInjectivityCertificate:
         assert cert.status == "inconclusive"
         assert cert.reason == (0, 3, 0)
         # recount target by target, each under the first test it fails
-        re_low, re_high, im_low, im_high = _range_box(README_INCONCLUSIVE, 0.25)
-        xs = re_low + (np.arange(16) + 0.5) * (re_high - re_low) / 16
-        ys = im_low + (np.arange(16) + 0.5) * (im_high - im_low) / 16
-        targets = (xs[:, None] + 1j * ys[None, :]).ravel()
+        targets = raster_targets(README_INCONCLUSIVE, 0.25, 16)
         fine, coarse, margins = _argument_sums(
             README_INCONCLUSIVE, unit_annulus_contours(0.25), targets, 4096
         )
@@ -318,6 +444,50 @@ class TestInjectivityCertificate:
             elif round(total.real) != round(half.real):
                 failed["disagreement"] += 1
         assert cert.reason._asdict() == failed
+
+
+    def test_outcome_matches_the_raster_whole_pass(self):
+        statuses = []
+        for f, r, grid, samples in seeded_laurent_cases(72, seed=2024):
+            cert = injectivity_certificate(f, r, target_grid=grid, samples=samples)
+            expected = raster_certificate(f, r, grid, samples)
+            assert cert.status == expected.status
+            assert cert.grid_size == expected.grid_size
+            assert cert.min_boundary_modulus.hex() == expected.min_boundary_modulus.hex()
+            assert cert.reason == expected.reason
+            statuses.append(cert.status)
+        assert {status: statuses.count(status) > 5 for status in set(statuses)} == {
+            "certified": True, "refuted": True, "inconclusive": True,
+        }
+
+    def test_targets_walk_centre_out_and_stop_at_a_refutation(self, monkeypatch):
+        f = laurent_map([0, 0, 0, 0, 1])  # z^2 hits 0.25 < |w| < 1 twice
+        calls = []
+
+        def recording(f, contours, targets, n, stop=None):
+            stops = []
+
+            def counting(*sums):
+                stops.append(stop(*sums))
+                return stops[-1]
+
+            calls.append((targets, stops))
+            return _argument_sums(f, contours, targets, n, stop=counting)
+
+        monkeypatch.setattr(rouche, "_argument_sums", recording)
+        cert = injectivity_certificate(f, 0.5, target_grid=16, samples=2048)
+        assert cert.status == "refuted"
+        (targets, stops), = calls
+        raster = raster_targets(f, 0.5, 16)
+        re_low, re_high, im_low, im_high = _range_box(f, 0.5)
+        centre = complex(0.5 * (re_low + re_high), 0.5 * (im_low + im_high))
+        distances = np.abs(targets - centre)
+        assert np.all(np.diff(distances) >= 0)
+        assert sorted(targets.tolist(), key=lambda w: (w.real, w.imag)) == sorted(
+            raster.tolist(), key=lambda w: (w.real, w.imag)
+        )
+        # the 16 targets nearest 0 reach |w| > 0.25, so the first block refutes
+        assert stops == [True]
 
 
 class TestCertificateMemory:

@@ -173,6 +173,23 @@ class TestTierB:
         assert counts == [4, 4]
 
 
+    @pytest.mark.parametrize("degree, budget, seed", [(0, 10, 0), (1, 60, 1), (2, 120, 42)])
+    def test_certificate_attempts_count_every_certificate(self, monkeypatch, degree, budget, seed):
+        statuses = []
+
+        def recording(*args, **kwargs):
+            certificate = injectivity_certificate(*args, **kwargs)
+            statuses.append(certificate.status)
+            return certificate
+
+        monkeypatch.setattr(search, "injectivity_certificate", recording)
+        result = tier_b_search(QUARTER, 0.5, degree=degree, budget=budget, seed=seed, samples=512)
+        assert sum(result.certificates) == len(statuses)
+        assert result.certificates._asdict() == {
+            status: statuses.count(status) for status in ("certified", "refuted", "inconclusive")
+        }
+
+
 class TestMonotonicityScan:
     def test_tier_a_no_inversions(self):
         report = monotonicity_scan(QUARTER, grid=64, tier="A")
