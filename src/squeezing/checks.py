@@ -79,11 +79,19 @@ def _disc_points(rng, count, cap=0.95):
     return uniform_ball_points(rng, 1, count, cap)[:, 0]
 
 
+def _counterexample(fails, inputs, describe):
+    """``describe`` of the first of ``inputs`` that ``fails``; "" when none does."""
+    for x in inputs:
+        if fails(x):
+            return describe(x)
+    return ""
+
+
 # --------------------------------------------------------------------------
 # metrics
 
 
-def suite_metrics(samples: int | None = None):
+def suite_metrics():
     rng = np.random.default_rng(7)
     results = []
 
@@ -120,22 +128,19 @@ def suite_metrics(samples: int | None = None):
             break
     results.append(_result("hyperbolic", "compressed-metric-axioms", ok, witness))
 
-    ok = True
-    for _ in range(1000):
-        a, b, c = _disc_points(rng, 3)
-        moved = abs(poincare_distance(mobius_map(c, a), mobius_map(c, b)) - poincare_distance(a, b))
-        if moved > TOL:
-            ok = False
-            break
-    results.append(_result("hyperbolic", "mobius-invariance", ok))
+    def moved(abc):
+        a, b, c = abc
+        return abs(poincare_distance(mobius_map(c, a), mobius_map(c, b)) - poincare_distance(a, b)) > TOL
 
-    ok = True
-    for _ in range(1000):
-        a, b = _disc_points(rng, 2)
-        if abs(kobayashi_distance([a], [b]) - poincare_distance(a, b)) > TOL:
-            ok = False
-            break
-    results.append(_result("hyperbolic", "ball-matches-disc-dim1", ok))
+    witness = _counterexample(moved, (_disc_points(rng, 3) for _ in range(1000)), lambda abc: f"at {abc}")
+    results.append(_result("hyperbolic", "mobius-invariance", not witness, witness))
+
+    def differs(ab):
+        a, b = ab
+        return abs(kobayashi_distance([a], [b]) - poincare_distance(a, b)) > TOL
+
+    witness = _counterexample(differs, (_disc_points(rng, 2) for _ in range(1000)), lambda ab: f"at {ab}")
+    results.append(_result("hyperbolic", "ball-matches-disc-dim1", not witness, witness))
     return results
 
 
@@ -165,8 +170,8 @@ def noninjective_corpus():
     """Maps known to be non-injective on the annulus {0.5 < |z| < 1}.
 
     z^2 folds antipodes together; the Laurent maps have a critical point
-    inside the annulus (z - lambda/z with lambda in (r^2, 1) identifies the
-    pairs z1 z2 = lambda).
+    inside the annulus ((z + lambda/z)/1.5 with lambda = 0.4 in (r^2, 1)
+    identifies the pairs z1 z2 = +lambda).
     """
     return [
         ("square", laurent_map([0, 0, 0, 0, 1])),
@@ -175,9 +180,8 @@ def noninjective_corpus():
     ]
 
 
-def suite_rouche(samples: int | None = None):
+def suite_rouche():
     results = []
-    contour_samples = samples or 64
 
     ok = True
     worst = 0.0
@@ -192,10 +196,10 @@ def suite_rouche(samples: int | None = None):
     cubic = polynomial_map([0, 0.5, 0, 1])
     roots = np.roots([1, 0, 0.5, 0])
     inside = int(np.sum(np.abs(roots) < 1.0))
-    counted = zero_count(cubic, rouche.CircleContour(samples=contour_samples))
+    counted = zero_count(cubic, rouche.CircleContour())
     results.append(_result("rouche", "cubic-count-matches-roots", counted == 3 == inside, f"count {counted}"))
 
-    contour = rouche.CircleContour(samples=contour_samples)
+    contour = rouche.CircleContour()
     f3 = _monomial(3)
     g = polynomial_map([0, 0.5])
     dominated = rouche_dominates(f3, g, contour)
@@ -209,7 +213,7 @@ def suite_rouche(samples: int | None = None):
         _result("rouche", "zero-perturbation-dominated", rouche_dominates(_monomial(2), polynomial_map([0]), contour))
     )
 
-    annulus_count = zero_count(_monomial(1), unit_annulus_contours(0.5, contour_samples))
+    annulus_count = zero_count(_monomial(1), unit_annulus_contours(0.5))
     results.append(_result("rouche", "annulus-excludes-origin", annulus_count == 0))
 
     ok = True
@@ -230,13 +234,13 @@ def suite_rouche(samples: int | None = None):
             break
     results.append(_result("rouche", "noninjective-never-certified", ok, witness))
 
-    ok = True
-    for name, candidate in injective_corpus():
-        for grid in (8, 16, 32):
-            status = injectivity_certificate(candidate, 0.5, target_grid=grid, samples=1024).status
-            if status == "refuted":
-                ok = False
-    results.append(_result("rouche", "grid-refinement-stable", ok))
+    def refuted(case):
+        _, candidate, grid = case
+        return injectivity_certificate(candidate, 0.5, target_grid=grid, samples=1024).status == "refuted"
+
+    cases = ((name, f, grid) for name, f in injective_corpus() for grid in (8, 16, 32))
+    witness = _counterexample(refuted, cases, lambda case: f"{case[0]} refuted at grid {case[2]}")
+    results.append(_result("rouche", "grid-refinement-stable", not witness, witness))
     return results
 
 
@@ -244,7 +248,7 @@ def suite_rouche(samples: int | None = None):
 # symmetric
 
 
-def suite_symmetric(samples: int | None = None):
+def suite_symmetric():
     rng = np.random.default_rng(11)
     results = []
     domains = [
@@ -284,13 +288,13 @@ def suite_symmetric(samples: int | None = None):
             z = 0.9 * z
         return z
 
-    ok = True
-    for domain in domains:
-        for _ in range(20):
-            z = random_point(domain)
-            if not all(contains(domain, t * z) for t in np.linspace(0.05, 0.95, 10)):
-                ok = False
-    results.append(_result("symmetric", "scaling-monotonicity", ok))
+    def escapes(domain_z):
+        domain, z = domain_z
+        return not all(contains(domain, t * z) for t in np.linspace(0.05, 0.95, 10))
+
+    draws = ((d, random_point(d)) for d in domains for _ in range(20))
+    witness = _counterexample(escapes, draws, lambda dz: f"{dz[0].describe()} at {dz[1].tolist()}")
+    results.append(_result("symmetric", "scaling-monotonicity", not witness, witness))
 
     ok = all(product_constant([d]).value == kubota_constant(d).value for d in domains)
     results.append(_result("symmetric", "product-of-single-factor", ok))
@@ -329,34 +333,34 @@ def two_hole_domain():
     )
 
 
-def suite_planar(samples: int | None = None):
+def suite_planar():
     rng = np.random.default_rng(23)
     results = []
     annulus = Annulus(0.25)
 
-    ok = True
-    for _ in range(200):
-        rho = annulus.r + (1.0 - annulus.r) * rng.random()
-        direct = annulus_lower_bound(annulus, rho).value
+    def annulus_points(count):
+        return (annulus.r + (1.0 - annulus.r) * rng.random() for _ in range(count))
+
+    def asymmetric(rho):
         mirrored = annulus_lower_bound(annulus, annulus.r / rho).value
-        if abs(direct - mirrored) > TOL:
-            ok = False
-    results.append(_result("planar", "reflection-symmetry", ok))
+        return abs(annulus_lower_bound(annulus, rho).value - mirrored) > TOL
 
-    ok = True
-    for r in (0.1, 0.25, 0.5, 0.81):
+    witness = _counterexample(asymmetric, annulus_points(200), lambda rho: f"rho {rho!r}")
+    results.append(_result("planar", "reflection-symmetry", not witness, witness))
+
+    def off_minimum(r):
         a = Annulus(r)
-        if abs(annulus_conjectured_value(a, math.sqrt(r)).value - annulus_minimum_value(a)) > TOL:
-            ok = False
-    results.append(_result("planar", "closed-form-minimum", ok))
+        return abs(annulus_conjectured_value(a, math.sqrt(r)).value - annulus_minimum_value(a)) > TOL
 
-    ok = True
-    for _ in range(200):
-        rho = annulus.r + (1.0 - annulus.r) * rng.random()
-        folded = annulus.fold(rho)
-        if abs(annulus_conjectured_value(annulus, folded).value - annulus_lower_bound(annulus, rho).value) > TOL:
-            ok = False
-    results.append(_result("planar", "fold-coincidence", ok))
+    witness = _counterexample(off_minimum, (0.1, 0.25, 0.5, 0.81), lambda r: f"r {r}")
+    results.append(_result("planar", "closed-form-minimum", not witness, witness))
+
+    def unfolded(rho):
+        conjecture = annulus_conjectured_value(annulus, annulus.fold(rho)).value
+        return abs(conjecture - annulus_lower_bound(annulus, rho).value) > TOL
+
+    witness = _counterexample(unfolded, annulus_points(200), lambda rho: f"rho {rho!r}")
+    results.append(_result("planar", "fold-coincidence", not witness, witness))
 
     rho = np.linspace(math.sqrt(annulus.r), 0.999999, 2048)
     values = np.array([annulus_conjectured_value(annulus, x).value for x in rho])
@@ -385,7 +389,7 @@ def suite_planar(samples: int | None = None):
     near_point = hole_center + (hole_radius + 1e-3)
     near = excised_domain_lower_bound(domain, near_point)
     floor = min(domain.near_constant, domain.far_constant)
-    ok = at_origin.witness["region"] == "far" and near.witness["region"] == "near"
+    ok = at_origin.witness["region"] == "far" and near.witness["region"] == "near" and floor > 0.0
     count = 0
     for _ in range(10000):
         z = _disc_points(rng, 1, cap=0.999)[0]
@@ -393,17 +397,20 @@ def suite_planar(samples: int | None = None):
             count += 1
             if excised_domain_lower_bound(domain, z).value < floor:
                 ok = False
+    ok = ok and count > 5000
     results.append(_result("planar", "excised-domain-two-case", ok, f"{count} interior samples"))
 
     ball = PuncturedBall(2, (np.zeros(2),))
-    ok = True
-    for _ in range(200):
-        z = uniform_ball_points(rng, 2, 1)[0]
+
+    def apart(z):
         upper = punctured_domain_upper_bound(ball, z).value
         exact = punctured_ball_squeezing(z).value
-        if abs(upper - exact) > TOL or abs(exact - np.linalg.norm(z)) > TOL:
-            ok = False
-    results.append(_result("planar", "puncture-upper-meets-exact", ok))
+        norm = np.linalg.norm(z)
+        return max(abs(upper - exact), abs(upper - norm), abs(exact - norm)) > TOL
+
+    draws = (uniform_ball_points(rng, 2, 1)[0] for _ in range(200))
+    witness = _counterexample(apart, draws, lambda z: f"z {z}")
+    results.append(_result("planar", "puncture-upper-meets-exact", not witness, witness))
 
     ok = abs(caratheodory_lower_estimate(0j, 1.0) - 0.25) == 0.0
     ok = ok and abs(caratheodory_lower_estimate(0.5, 2.0 / 7.0, annulus) - 2.0 / 7.0) <= TOL
@@ -433,29 +440,28 @@ def suite_planar(samples: int | None = None):
 # search
 
 
-def suite_search(samples: int | None = None):
-    resolution = samples or search.DEFAULT_SAMPLES
+def suite_search():
     results = []
     annulus = Annulus(0.25)
 
     rho = math.sqrt(annulus.r) + (1.0 - math.sqrt(annulus.r)) * np.arange(64) / 64
     worst = max(
-        abs(search.tier_a_bound(annulus, x, resolution).best_value - annulus_lower_bound(annulus, x).value)
+        abs(search.tier_a_bound(annulus, x).best_value - annulus_lower_bound(annulus, x).value)
         for x in rho
     )
     results.append(_result("search", "tier-a-reproduces-closed-form", worst <= 1e-9, f"worst {worst:.2e}"))
 
-    collapsed = search.tier_b_search(annulus, 0.5, degree=0, budget=10, seed=0, samples=resolution)
-    tier_a = search.tier_a_bound(annulus, 0.5, 2 * resolution)
+    collapsed = search.tier_b_search(annulus, 0.5, degree=0, budget=10, seed=0)
+    tier_a = search.tier_a_bound(annulus, 0.5, 2 * search.DEFAULT_SAMPLES)
     results.append(
         _result("search", "degree-zero-collapse", collapsed.best_value == tier_a.best_value)
     )
 
-    found = search.tier_b_search(annulus, 0.5, degree=1, budget=60, seed=1, samples=resolution)
+    found = search.tier_b_search(annulus, 0.5, degree=1, budget=60, seed=1)
     ok = found.tier_a_value - 1e-9 <= found.best_value < 1.0
     results.append(_result("search", "family-containment", ok, f"best {found.best_value:.12f}"))
 
-    again = search.tier_b_search(annulus, 0.5, degree=1, budget=60, seed=1, samples=resolution)
+    again = search.tier_b_search(annulus, 0.5, degree=1, budget=60, seed=1)
     ok = (
         again.best_value == found.best_value
         and again.evaluations == found.evaluations
@@ -463,7 +469,7 @@ def suite_search(samples: int | None = None):
     )
     results.append(_result("search", "determinism", ok))
 
-    report = search.monotonicity_scan(annulus, grid=32, tier="A", samples=resolution)
+    report = search.monotonicity_scan(annulus, grid=32, tier="A")
     results.append(_result("search", "tier-a-monotone", report.inversions == 0, f"{report.inversions} inversions"))
     return results
 
@@ -477,11 +483,8 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, samples: int | None = None):
+def run_suite(name: str):
     """Run one named suite (or all of them); unknown names raise KeyError."""
     if name == "all":
-        results = []
-        for suite in _SUITES.values():
-            results.extend(suite(samples))
-        return results
-    return _SUITES[name](samples)
+        return [result for suite in _SUITES.values() for result in suite()]
+    return _SUITES[name]()

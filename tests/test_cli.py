@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, objective
+from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, checks, objective
 from squeezing.cli import _env_samples, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -172,17 +172,6 @@ class TestSearch:
         record = json.loads(out)
         assert record["best_value"] >= record["tier_a_value"] - 1e-9
 
-    def test_readme_search_reports_certificate_outcomes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "search", "--annulus", "0.25", "--rho", "0.5", "--degree", "2",
-            "--budget", "500", "--seed", "42",
-        )
-        record = json.loads(out)
-        assert code == 0
-        assert record["best_value"] == 0.37674501101886787
-        assert list(record)[-1] == "certificates"
-        assert record["certificates"] == {"certified": 1, "refuted": 6, "inconclusive": 2}
-
     # at rho = 0.7 the Laurent winner's value changes with the sample count
     @pytest.mark.parametrize("degree, rho, family", [(0, 0.5, "mobius-inclusion"), (1, 0.7, "laurent")])
     def test_witness_reproduces_best_value(self, capsys, degree, rho, family):
@@ -249,9 +238,20 @@ class TestTable:
 
 class TestCheck:
     def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(capsys, "check", "--suite", "bogus")
-        assert code == 2
-        assert "bogus" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--suite", "bogus"])
+        assert exit_info.value.code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_failing_invariant_exits_one(self, capsys, monkeypatch):
+        for name in checks._SUITES:
+            monkeypatch.setitem(checks._SUITES, name, lambda name=name: [checks.CheckResult(name, "holds", True)])
+        planted = checks.CheckResult("planar", "planted", False, "rho 0.5")
+        monkeypatch.setitem(checks._SUITES, "planar", lambda: [planted])
+        code, out, _ = run_cli(capsys, "check", "--suite", "all")
+        assert code == 1
+        assert "FAIL planar planted [rho 0.5]" in out.splitlines()
+        assert out.endswith("4/5 invariants passed\n")
 
     @pytest.mark.parametrize("suite", ["metrics", "rouche", "symmetric", "planar", "search"])
     def test_suite_passes(self, capsys, suite):
@@ -278,18 +278,19 @@ class TestEnvironment:
         assert code == 2
         assert "SQUEEZE_SAMPLES" in err
 
-    @pytest.mark.parametrize("suite", ["rouche", "all"])
-    def test_check_names_a_samples_value_that_is_not_a_power_of_two(self, suite):
-        proc = subprocess.run(
-            [sys.executable, "-m", "squeezing", "check", "--suite", suite],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "SQUEEZE_SAMPLES": "100"},
-        )
-        assert proc.returncode == 2
-        assert "SQUEEZE_SAMPLES" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+    def test_check_ignores_squeeze_samples(self):
+        def check(**environ):
+            return subprocess.run(
+                [sys.executable, "-m", "squeezing", "check", "--suite", "rouche"],
+                capture_output=True,
+                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **environ},
+            )
+
+        unset = check()
+        assert unset.returncode == 0
+        for value in ("100", "1024", "4096", "abc"):
+            proc = check(SQUEEZE_SAMPLES=value)
+            assert (proc.returncode, proc.stdout) == (0, unset.stdout), value
 
     def test_search_accepts_samples_that_are_not_a_power_of_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SQUEEZE_SAMPLES", "100")

@@ -7,8 +7,6 @@ from squeezing import (
     kubota_constant,
     product_constant,
     punctured_ball_squeezing,
-    sandwich_check_type_i,
-    uniform_ball_points,
 )
 from squeezing.errors import (
     DomainValidationError,
@@ -127,22 +125,6 @@ class TestConstants:
         mixed = [ClassicalDomain.type_i(2, 2), ClassicalDomain.type_ii(3)]
         assert product_constant(mixed).value == 5 ** -0.5
 
-    def test_product_of_single_equals_constant(self):
-        for domain in (
-            ClassicalDomain.type_i(1, 1),
-            ClassicalDomain.type_i(3, 4),
-            ClassicalDomain.type_ii(5),
-            ClassicalDomain.type_iii(7),
-            ClassicalDomain.type_iv(6),
-        ):
-            assert product_constant([domain]).value == kubota_constant(domain).value
-
-    def test_product_strictly_below_min(self):
-        a = ClassicalDomain.type_i(2, 5)
-        b = ClassicalDomain.type_iii(4)
-        combined = product_constant([a, b]).value
-        assert combined < min(kubota_constant(a).value, kubota_constant(b).value)
-
     def test_empty_product_rejected(self):
         with pytest.raises(EmptyList):
             product_constant([])
@@ -176,17 +158,3 @@ class TestPuncturedBall:
     def test_outside_rejected(self):
         with pytest.raises(DomainValidationError):
             punctured_ball_squeezing(np.array([1.2, 0.0]))
-
-
-class TestSandwich:
-    def test_disc_case_trivial(self):
-        assert sandwich_check_type_i(1, 1, samples=200, seed=0)
-
-    def test_square_case(self):
-        assert sandwich_check_type_i(2, 2, samples=400, seed=1)
-
-    def test_ball_samples_always_inside(self):
-        rng = np.random.default_rng(2)
-        domain = ClassicalDomain.type_i(2, 2)
-        for z in uniform_ball_points(rng, 4, 200):
-            assert contains(domain, z.reshape(2, 2))
