@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperbolic, rouche, search
+from .errors import SqueezingError
 from .hyperbolic import (
     bounded_metric,
     euclidean_radius,
@@ -180,6 +181,33 @@ def noninjective_corpus():
     ]
 
 
+def noninjective_witnesses():
+    """Non-injective Laurent maps, each with the inner radius r of its annulus.
+
+    f' vanishes inside r < |z| < 1 for each, yet the grid pass (16 x 16
+    targets, 2048 samples) certifies them all: the README search's degree-2
+    winner at r = 0.25 (critical points at |z| ~ 0.2586 and 0.2724), a
+    degree-1 search winner at r = 0.1 (rho = 0.6, budget 300, seed 3;
+    |z| ~ 0.1001), and z + lambda/z with lambda = 1.02 r^2 at r = 0.4, whose
+    critical points +-sqrt(lambda) sit just outside the inner circle.
+    """
+    return [
+        ("readme-search-winner", laurent_map([
+            -0.0079910755599370015 - 0.0024113093813298804j,
+            -0.011950247885198674 + 0.0039812229832201802j,
+            0.0085154530801062386 + 0.0010133632834402149j,
+            0.97125866166824182 + 0.010232964480441867j,
+            0.0064544393997034849 - 0.0025480683562957422j,
+        ]), 0.25),
+        ("degree-one-winner", laurent_map([
+            -0.0099043703561013663 + 0.00018583233372585341j,
+            0.0085449258201666239 + 0.00054047490606260048j,
+            0.98853210024309557 - 0.0042394268999122672j,
+        ]), 0.1),
+        ("joukowski-near", laurent_map([1.02 * 0.4 ** 2, 0, 1]), 0.4),
+    ]
+
+
 def suite_rouche():
     results = []
 
@@ -225,14 +253,13 @@ def suite_rouche():
             break
     results.append(_result("rouche", "injective-corpus-certified", ok, witness))
 
-    ok = True
-    witness = ""
-    for name, candidate in noninjective_corpus():
-        status = injectivity_certificate(candidate, 0.5, target_grid=16, samples=1024).status
-        if status == "certified":
-            ok, witness = False, f"{name} wrongly certified"
-            break
-    results.append(_result("rouche", "noninjective-never-certified", ok, witness))
+    def certified(case):
+        _, candidate, r = case
+        return injectivity_certificate(candidate, r, target_grid=16, samples=1024).status == "certified"
+
+    cases = [(name, f, 0.5) for name, f in noninjective_corpus()] + noninjective_witnesses()
+    witness = _counterexample(certified, cases, lambda case: f"{case[0]} wrongly certified at r = {case[2]}")
+    results.append(_result("rouche", "noninjective-never-certified", not witness, witness))
 
     def refuted(case):
         _, candidate, grid = case
@@ -483,8 +510,20 @@ _SUITES = {
 }
 
 
+def _run(name: str):
+    try:
+        return _SUITES[name]()
+    except SqueezingError as exc:
+        # a raising invariant is a failing one; it takes the rest of its suite with it
+        return [_result(name, f"suite_{name}", False, f"{type(exc).__name__}: {exc}")]
+
+
 def run_suite(name: str):
-    """Run one named suite (or all of them); unknown names raise KeyError."""
-    if name == "all":
-        return [result for suite in _SUITES.values() for result in suite()]
-    return _SUITES[name]()
+    """Run one named suite (or all of them); unknown names raise KeyError.
+
+    A suite that raises a ``SqueezingError`` yields one failing result named
+    ``suite_<name>`` whose witness names the exception; the other suites
+    still run.
+    """
+    names = list(_SUITES) if name == "all" else [name]
+    return [result for suite in names for result in _run(suite)]

@@ -337,6 +337,8 @@ def cmd_search(args) -> int:
             "samples": samples,
             "grid_size": None if certificate is None else certificate.grid_size,
             "min_boundary_modulus": None if certificate is None else certificate.min_boundary_modulus,
+            "tube": None if certificate is None else certificate.tube,
+            "critical_points": None if certificate is None else certificate.critical_points,
         },
         "certificates": result.certificates._asdict(),
     }

@@ -1,26 +1,31 @@
-"""Zero counting by the argument principle and numerical injectivity checks.
+"""Zero counting by the argument principle and injectivity certificates.
 
 The count of zeros of a holomorphic map inside a circle (or inside an
 annulus bounded by two circles) is the contour integral of f'/f divided by
 2*pi*i, evaluated with the trapezoidal rule on equispaced samples, which is
 spectrally accurate for analytic integrands.  Dominance |g| < |f| on the
-contour forces f and f + g to enclose equally many zeros; applying that
-fact to f - w over a grid of targets w yields a conservative, finite check
-that a map hits no target twice inside an annulus, at two resolutions
+contour forces f and f + g to enclose equally many zeros.
+
+Injectivity on an annulus is certified two ways, chosen by the input alone.
+A Laurent map (one that carries its coefficients, as ``laurent_map``
+builds it) is certified from its two boundary curves: no critical point in
+the annulus, and simple, disjoint image curves, each checked against bounds
+computed from the coefficients (see ``injectivity_certificate``); its cost
+depends on the sample count only.  Any other map gets the grid pass: the
+zeros of f - w are counted over a grid of targets w at two resolutions
 taken from one evaluation at 2N samples (the N-sample count reads the
 even-indexed nodes).  That pass evaluates f and f' once per circle and then
-walks the targets in cache-sized row blocks through one reused buffer, so its
-memory does not grow with the target grid.  The certificate walks its targets
-centre-out and, once a block holds a trusted count >= 2, settles as refuted
-and computes only the remaining targets' guard margins; its outcome does not
-depend on the target order.  The certificate is a numerical
-statement only: "inconclusive" is an allowed terminal state, reported with
-the number of targets that failed each trust test, and consumers must treat
+walks the targets centre-out in cache-sized row blocks through one reused
+buffer, so its memory does not grow with the target grid; once a block
+holds a trusted count >= 2 it settles as refuted and computes only the
+remaining targets' guard margins.  "inconclusive" is an allowed terminal
+state of both, reported with the test that failed, and consumers must treat
 it as unusable, never as a certification.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,6 +49,9 @@ _DOMINANCE_SAFETY = 1.05
 #: Size of the targets x samples complex block the argument-principle pass
 #: works on: small enough to stay in cache across its elementwise passes.
 _BLOCK_BYTES = 1 << 20
+
+#: Segment pairs the boundary certificate measures at once.
+_PAIR_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,12 @@ class SampledMap:
     evaluator: Callable
     derivative_evaluator: Callable
 
+    @property
+    def laurent_coefficients(self) -> np.ndarray | None:
+        """c_{-m}..c_m when the evaluator is a Laurent polynomial built by
+        ``laurent_map`` (or a ``functools.wraps`` wrapper of one), else None."""
+        return getattr(self.evaluator, "laurent_coefficients", None)
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -93,10 +107,22 @@ class InconclusiveReason(NamedTuple):
 
 @dataclass(frozen=True)
 class InjectivityCertificate:
+    """Outcome of ``injectivity_certificate``.
+
+    The grid pass sets ``grid_size`` and, when inconclusive, an
+    ``InconclusiveReason``; the boundary pass for Laurent maps leaves
+    ``grid_size`` None, names its failed test in ``reason`` and fills the
+    last three fields.  ``min_boundary_modulus`` is min |f - w| over the
+    boundary nodes and the targets w counted (inf when none was).
+    """
+
     status: str  # certified | refuted | inconclusive
-    grid_size: int
+    grid_size: int | None
     min_boundary_modulus: float
-    reason: InconclusiveReason | None = None  # set only when inconclusive
+    reason: InconclusiveReason | str | None = None  # set only when inconclusive
+    samples: int | None = None  # the boundary curves have 2 * samples nodes each
+    tube: float | None = None  # widest chord tube of the two boundary curves
+    critical_points: int | None = None  # roots of z^{m+1} f' located in the annulus
 
 
 def polynomial_map(coefficients) -> SampledMap:
@@ -138,6 +164,7 @@ def laurent_map(coefficients) -> SampledMap:
         # sum k c_k z^{k-1}: the powers -m-1..m-1 of the degree-(m+1) table
         return laurent_basis(z, m + 1)[..., :-2] @ dc
 
+    f.laurent_coefficients = c
     return SampledMap(f, df)
 
 
@@ -307,6 +334,187 @@ def _refutes(fine, coarse, margins, guard: float) -> bool:
     return bool(np.any(trustworthy & (nearest >= 2)))
 
 
+def _segment_distances(p1, q1, p2, q2):
+    """Distances between the segments p1->q1 and p2->q2 (complex endpoints),
+    0 where they cross; NaN for a segment of length 0."""
+
+    def to_segment(x, p, q):
+        d = q - p
+        t = np.clip(((x - p) * d.conj()).real / (d * d.conj()).real, 0.0, 1.0)
+        return np.abs(x - p - t * d)
+
+    def side(d, x):
+        return (d.conj() * x).imag
+
+    d1, d2 = q1 - p1, q2 - p2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distance = np.minimum(
+            np.minimum(to_segment(p1, p2, q2), to_segment(q1, p2, q2)),
+            np.minimum(to_segment(p2, p1, q1), to_segment(q2, p1, q1)),
+        )
+    crossing = (side(d1, p2 - p1) * side(d1, q2 - p1) < 0) & (side(d2, p1 - p2) * side(d2, q1 - p2) < 0)
+    return np.where(crossing, 0.0, distance)
+
+
+def _cell_entries(start, end, tube):
+    """(key, segment) pairs, sorted by key, of the uniform cells that each
+    segment's box, widened by its tube, overlaps; cells are a little wider
+    than the widest box, so a box overlaps at most 2 x 2 of them."""
+    sides = []  # per axis, each box's low and high side
+    for a, b in ((start.real, end.real), (start.imag, end.imag)):
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        low -= tube
+        high += tube
+        sides.append((low, high))
+    cell = 1.001 * max((high - low).max() for low, high in sides)
+    for low, high in sides:
+        origin = low.min()
+        for side in (low, high):  # now the index of the cell holding the side
+            side -= origin
+            side /= cell
+            np.floor(side, out=side)
+    (x0, x1), (y0, y1) = sides
+    span = y1.max() + 1.0
+    x0 *= span
+    x1 *= span
+    # keys x * span + y of the cells (x0, y0), (x0, y1), (x1, y0), (x1, y1):
+    # equal cells give equal keys, and were two cells' keys to round
+    # together, the walk over equal keys would only check more pairs
+    keys = [x0 + y0, x0 + y1, x1 + y0, x1 + y1]
+    del sides, x0, x1, y0, y1
+    fresh = [keys[1] != keys[0], keys[2] != keys[0], (keys[3] != keys[1]) & (keys[3] != keys[2])]
+    segments = np.arange(len(start), dtype=np.int32)
+    keys = np.concatenate([keys[0], *(k[mask] for k, mask in zip(keys[1:], fresh))])
+    segments = np.concatenate([segments, *(segments[mask] for mask in fresh)])
+    order = np.argsort(keys)
+    return keys[order], segments[order]
+
+
+def _curves_apart(nodes, tubes) -> bool:
+    """True iff the closed polygons through the rows of ``nodes`` keep every
+    two of their segments farther apart than the sum of the segments' tubes,
+    except a segment and its two neighbours on the same polygon.
+
+    Segment j of row i runs from nodes[i, j] to nodes[i, j + 1 mod n] and has
+    tube tubes[i].  A uniform-cell hash (``_cell_entries``) finds the
+    candidate pairs: two segments closer than their tubes share a cell.
+    Entries sorted by cell are paired at offsets 1, 2, ... within their
+    cell, one offset per pass, and each pass measures its pairs in chunks of
+    _PAIR_CHUNK, so memory stays O(nodes); the walk stops at the first chunk
+    with a pair too close.
+    """
+    n = nodes.shape[1]
+    start = nodes.ravel()
+    end = np.roll(nodes, -1, axis=1).ravel()
+    tube = np.repeat(tubes, n)
+    keys, segments = _cell_entries(start, end, tube)
+    active = np.arange(len(keys) - 1)
+    offset = 0
+    while len(active):
+        offset += 1
+        active = active[active + offset < len(keys)]
+        active = active[keys[active + offset] == keys[active]]
+        for chunk in range(0, len(active), _PAIR_CHUNK):
+            pairs = active[chunk:chunk + _PAIR_CHUNK]
+            a, b = segments[pairs], segments[pairs + offset]
+            gap = (a - b) % n
+            neighbours = (a // n == b // n) & ((gap == 1) | (gap == n - 1))
+            a, b = a[~neighbours], b[~neighbours]
+            distance = _segment_distances(start[a], end[a], start[b], end[b])
+            # NaN (a degenerate segment) fails the test too
+            if not np.all(distance > tube[a] + tube[b]):
+                return False
+    return True
+
+
+#: Allowance, relative to sum |c_k| rho^k (and sum |k c_k| rho^k), for the
+#: rounding of a boundary node's value (and derivative).
+_ROUNDING = 1e-12
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """Approximate nonzero roots of sum_j p_j z^j by the Durand-Kerner
+    iteration: numpy arithmetic on a few points, where ``np.roots`` would
+    set up a LAPACK eigensolver.  A root that has not converged is only a
+    poor candidate; callers confirm each by a zero count."""
+    p = np.trim_zeros(p)  # zero roots and a vanishing leading coefficient drop out
+    degree = len(p) - 1
+    if degree < 1:
+        return np.zeros(0, dtype=complex)
+    monic = p[::-1] / p[-1]
+    # the roots lie within the Cauchy bound 1 + max |p_j / p_d|
+    z = (1.0 + np.abs(monic[1:]).max()) * (0.4 + 0.9j) ** np.arange(degree)
+    for _ in range(100):
+        gaps = z[:, None] - z[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        z = z - np.polyval(monic, z) / gaps.prod(axis=1)
+    return z
+
+
+def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, samples: int, guard: float):
+    """Boundary certificate of the Laurent map f = sum c_k z^k; see
+    ``injectivity_certificate``."""
+    m = len(c) // 2
+    k = np.arange(-m, m + 1)
+
+    def outcome(status, margin=np.inf, reason=None, tube=None, critical=None):
+        return InjectivityCertificate(status, None, float(margin), reason, samples, tube, critical)
+
+    # z^{m+1} f'(z) = sum_k k c_k z^{k+m} shares the zeros of f' in the annulus.
+    # Its roots only locate them; a refutation needs a trusted count on a disc
+    # inside the annulus, which settles at a few hundred samples however
+    # close the root sits to a boundary circle
+    critical_polynomial = polynomial_map(k * c)
+    roots = _roots(k * c)
+    inside = roots[(np.abs(roots) > inner_radius) & (np.abs(roots) < 1.0)]
+    critical = len(inside)
+    for root in inside:
+        radius = 0.5 * min(abs(root) - inner_radius, 1.0 - abs(root))
+        try:
+            if zero_count_detailed(critical_polynomial, CircleContour(complex(root), radius), guard).count >= 1:
+                return outcome("refuted", critical=critical)
+        except (GuardViolation, NonIntegerResidual):
+            continue
+    if critical:
+        return outcome("inconclusive", reason="critical points without a trusted count", critical=critical)
+
+    n = 2 * samples
+    w0 = f.evaluator(math.sqrt(inner_radius))
+    fine, coarse, margins = _argument_sums(f, unit_annulus_contours(inner_radius), np.array([w0], dtype=complex), n)
+    nearest, _, _, trusted = _trusted_counts(fine, coarse, margins, guard)
+    margin = margins[0]
+    if trusted[0] and nearest[0] >= 2:
+        return outcome("refuted", margin, critical=critical)
+    if not (trusted[0] and nearest[0] == 1):
+        count = int(nearest[0]) if trusted[0] else "untrusted"
+        return outcome("inconclusive", margin, f"preimages of f(sqrt r): {count}", critical=critical)
+
+    step = 2.0 * np.pi / n
+    ring = np.exp(1j * step * np.arange(n))
+    radii = np.array([1.0, inner_radius])
+    scale = np.abs(c) * radii[:, None] ** k  # |c_k| rho^k, one row per circle
+    # T(theta) = f(rho e^{i theta}) and its derivatives are trigonometric
+    # polynomials: |T''| <= sum k^2 |c_k| rho^k on the whole circle
+    second = scale @ (k * k)
+    tubes = step * step / 8.0 * second + _ROUNDING * scale.sum(axis=1)
+    nodes = np.empty((2, n), dtype=complex)
+    tangents = np.empty((2, n), dtype=complex)
+    for i, rho in enumerate(radii):
+        basis = laurent_basis(rho * ring, m)
+        nodes[i], tangents[i] = basis @ c, basis @ (1j * k * c)
+    tube = float(tubes.max())
+    speed = np.abs(tangents) - _ROUNDING * (scale @ np.abs(k))[:, None]
+    if not np.all(speed - step * second[:, None] > 2.0 * step * second[:, None]):
+        return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
+    # each step turns the tangent by less than pi, so these are the exact turning numbers
+    turning = np.rint(np.angle(np.roll(tangents, -1, axis=1) / tangents).sum(axis=1) / (2.0 * np.pi))
+    if turning[0] != turning[1]:
+        return outcome("inconclusive", margin, "turning numbers differ", tube, critical)
+    if not _curves_apart(nodes, tubes):
+        return outcome("inconclusive", margin, "boundary curves closer than their tubes", tube, critical)
+    return outcome("certified", margin, tube=tube, critical=critical)
+
+
 def injectivity_certificate(
     f: SampledMap,
     annulus,
@@ -314,28 +522,66 @@ def injectivity_certificate(
     samples: int = 2048,
     guard: float = GUARD_THRESHOLD,
 ) -> InjectivityCertificate:
-    """Conservative injectivity check for f on the annulus {r < |z| < 1}.
-
-    A cell-centred target_grid x target_grid grid of w values covers the
-    sampled numerical range of f; for each w the zeros of f - w inside the
-    annulus are counted at 2*samples and, on the even-indexed nodes of that
-    one evaluation, at samples nodes per circle.  Any trustworthy count >= 2
-    refutes injectivity; the certificate is "certified" only when every
-    target yields a trustworthy count <= 1, and "inconclusive" otherwise
-    (guard violations and unstable quadrature are never certified); an
-    inconclusive certificate's ``reason`` counts the untrusted targets by the
-    test they failed.
-
-    The targets are walked centre-out, nearest the centre of the range box
-    first, where folds near the image of the inner circle tend to sit; once a
-    block holds a trusted count >= 2 the later targets get their guard
-    margins only.  The outcome does not depend on the order: a refutation
-    needs one trusted count >= 2, and the margins, hence
-    ``min_boundary_modulus``, are computed for every target.
+    """Injectivity check for f on the annulus {r < |z| < 1}.
 
     ``annulus`` may be the inner radius itself or any object with an ``r``
-    attribute.  A certificate over a finite grid is numerical evidence, not a
-    proof of univalence.
+    attribute.  Both passes refute only on trusted counts, and
+    "inconclusive" names the test that failed in ``reason``.
+
+    **Laurent maps** (``f.laurent_coefficients`` is set): the boundary pass,
+    which ignores ``target_grid``.  Refutations first, cheapest first:
+
+    1. approximate roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m} locate the
+       critical points; for each one inside the annulus,
+       ``zero_count_detailed`` counts the zeros on the disc around it of
+       half its distance to the boundary circles, and a count >= 1 refutes
+       (f is k-to-1 near a critical point).  When no such count is >= 1 (a
+       guard violation, an unsettled count) the map is inconclusive;
+    2. the preimages of w0 = f(sqrt r) are counted on 2*samples nodes per
+       circle (with the samples-node count from the even nodes); a trusted
+       count >= 2 refutes, and any other count but 1 is inconclusive.
+
+    Then both image curves T(theta) = f(rho e^{i theta}), rho = 1 and r, are
+    sampled at 2*samples nodes with step h.  T is a trigonometric polynomial,
+    so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc
+    between nodes lies within the tube h^2 M / 8 of its chord (plus a
+    rounding allowance).  The map is certified only when
+    (a) every node has |T'| - h M > 2 h M: T' then moves by at most h M
+        within a step, T is injective on every two consecutive steps, and the
+        tangent turns by less than pi per step, so the sampled turning
+        numbers are exact, and they must agree;
+    (b) every two segments that are not neighbours on one curve, and every
+        pair across the two curves, lie farther apart than their two tubes
+        (a uniform-cell hash walks the candidate pairs, O(samples) memory).
+    A crossing found this way is only ever inconclusive, never a refutation.
+
+    Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)
+    zeros in the annulus for w off the curves.  The turning number of T_rho
+    is 1 plus the winding of f' around |z| = rho, so agreeing turning numbers
+    mean f' has no zero in the annulus; step 1 only ever refutes.  By (a) and
+    (b) both curves are simple, regular, closed and disjoint; by the
+    Umlaufsatz each turning number is the winding number, +-1, about every
+    point the curve encloses and 0 outside, and both are the same sign e.
+    Each winding number is 0 or e, so the difference is at most 1: no w off
+    the curves has two preimages, and by the open mapping theorem neither
+    has any w on them.
+
+    **Other maps**: the grid pass.  A cell-centred target_grid x target_grid
+    grid of w values covers the sampled numerical range of f; for each w the
+    zeros of f - w inside the annulus are counted at 2*samples and, on the
+    even-indexed nodes of that one evaluation, at samples nodes per circle.
+    Any trustworthy count >= 2 refutes injectivity; the certificate is
+    "certified" only when every target yields a trustworthy count <= 1, and
+    "inconclusive" otherwise (guard violations and unstable quadrature are
+    never certified); an inconclusive certificate's ``reason`` counts the
+    untrusted targets by the test they failed.  The targets are walked
+    centre-out, nearest the centre of the range box first, where folds near
+    the image of the inner circle tend to sit; once a block holds a trusted
+    count >= 2 the later targets get their guard margins only.  The outcome
+    does not depend on the order: a refutation needs one trusted count >= 2,
+    and the margins, hence ``min_boundary_modulus``, are computed for every
+    target.  A certificate over a finite grid is numerical evidence, not a
+    proof of univalence: a fold between targets goes unseen.
     """
     inner_radius = float(getattr(annulus, "r", annulus))
     if not 0.0 < inner_radius < 1.0:
@@ -343,6 +589,9 @@ def injectivity_certificate(
     grid = int(target_grid)
     if grid < 2:
         raise DomainValidationError("target_grid must be at least 2")
+    coefficients = f.laurent_coefficients
+    if coefficients is not None:
+        return _boundary_certificate(coefficients, f, inner_radius, int(samples), guard)
 
     re_low, re_high, im_low, im_high = _range_box(f, inner_radius)
     xs = re_low + (np.arange(grid) + 0.5) * (re_high - re_low) / grid

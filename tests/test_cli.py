@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, checks, objective
 from squeezing.cli import _env_samples, main
+from squeezing.errors import SqueezingError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -185,13 +186,18 @@ class TestSearch:
         witness = record["witness"]
         assert witness["family"] == family
         coefficients = np.array([complex(re, im) for re, im in witness["coefficients"]])
+        assert list(witness)[-2:] == ["tube", "critical_points"]
         if family == "laurent":
+            # the boundary certificate uses no target grid and finds no critical point
+            assert witness["grid_size"] is None and witness["critical_points"] == 0
+            assert 0.0 < witness["tube"] < 1e-3
             certificate = InjectivityCertificate(
                 "certified", witness["grid_size"], witness["min_boundary_modulus"]
             )
             candidate = EmbeddingCandidate.laurent(coefficients, certificate)
         else:
             assert witness["grid_size"] is None and witness["min_boundary_modulus"] is None
+            assert witness["tube"] is None and witness["critical_points"] is None
             candidate = EmbeddingCandidate(family, 1, coefficients, "certified")
         value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
         assert value == record["best_value"]
@@ -252,6 +258,24 @@ class TestCheck:
         assert code == 1
         assert "FAIL planar planted [rho 0.5]" in out.splitlines()
         assert out.endswith("4/5 invariants passed\n")
+
+    def test_raising_suite_fails_and_the_others_still_run(self, capsys, monkeypatch):
+        for name in checks._SUITES:
+            monkeypatch.setitem(checks._SUITES, name, lambda name=name: [checks.CheckResult(name, "holds", True)])
+
+        def raising():
+            raise SqueezingError("z = 0.6 is not in the excised domain")
+
+        monkeypatch.setitem(checks._SUITES, "planar", raising)
+        code, out, err = run_cli(capsys, "check", "--suite", "all")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL planar suite_planar [SqueezingError: z = 0.6 is not in the excised domain]" in lines
+        assert [line for line in lines if line.startswith("PASS")] == [
+            f"PASS {name} holds" for name in ("metrics", "rouche", "symmetric", "search")
+        ]
+        assert out.endswith("4/5 invariants passed\n")
+        assert err == ""
 
     @pytest.mark.parametrize("suite", ["metrics", "rouche", "symmetric", "planar", "search"])
     def test_suite_passes(self, capsys, suite):

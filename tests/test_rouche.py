@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from squeezing import (
     zero_count,
     zero_count_detailed,
 )
-from squeezing.checks import injective_corpus
+from squeezing.checks import injective_corpus, noninjective_witnesses
 from squeezing import rouche
 from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
 from squeezing.rouche import (
@@ -26,13 +27,22 @@ from squeezing.rouche import (
     InjectivityCertificate,
     _argument_sums,
     _circle_nodes,
+    _curves_apart,
     _range_box,
     _refutes,
+    _roots,
+    _segment_distances,
 )
 
 
 def monomial(k):
     return SampledMap(lambda z: z ** k, lambda z: k * z ** (k - 1.0))
+
+
+def grid_only(f):
+    """f with an evaluator that hides its Laurent coefficients, so that the
+    certificate takes the grid pass."""
+    return SampledMap(lambda z: f.evaluator(z), f.derivative_evaluator)
 
 
 def annulus_sums_at(f, inner_radius, targets, n):
@@ -405,11 +415,11 @@ class TestInjectivityCertificate:
             injectivity_certificate(laurent_map([0, 0, 1]), 0.5, target_grid=1)
 
     def test_reason_only_when_inconclusive(self):
-        assert injectivity_certificate(laurent_map([0, 0, 1]), 0.5, target_grid=8).reason is None
-        assert injectivity_certificate(laurent_map([0, 0, 0, 0, 1]), 0.5, target_grid=8).reason is None
+        assert injectivity_certificate(grid_only(laurent_map([0, 0, 1])), 0.5, target_grid=8).reason is None
+        assert injectivity_certificate(grid_only(laurent_map([0, 0, 0, 0, 1])), 0.5, target_grid=8).reason is None
 
     def test_inconclusive_reason_counts_untrusted_targets(self):
-        cert = injectivity_certificate(README_INCONCLUSIVE, 0.25)
+        cert = injectivity_certificate(grid_only(README_INCONCLUSIVE), 0.25)
         assert cert.status == "inconclusive"
         assert cert.reason == (0, 3, 0)
         # recount target by target, each under the first test it fails
@@ -431,7 +441,7 @@ class TestInjectivityCertificate:
     def test_outcome_matches_the_raster_whole_pass(self):
         statuses = []
         for f, r, grid, samples in seeded_laurent_cases(72, seed=2024):
-            cert = injectivity_certificate(f, r, target_grid=grid, samples=samples)
+            cert = injectivity_certificate(grid_only(f), r, target_grid=grid, samples=samples)
             expected = raster_certificate(f, r, grid, samples)
             assert cert.status == expected.status
             assert cert.grid_size == expected.grid_size
@@ -457,7 +467,7 @@ class TestInjectivityCertificate:
             return _argument_sums(f, contours, targets, n, stop=counting)
 
         monkeypatch.setattr(rouche, "_argument_sums", recording)
-        cert = injectivity_certificate(f, 0.5, target_grid=16, samples=2048)
+        cert = injectivity_certificate(grid_only(f), 0.5, target_grid=16, samples=2048)
         assert cert.status == "refuted"
         (targets, stops), = calls
         raster = raster_targets(f, 0.5, 16)
@@ -472,13 +482,150 @@ class TestInjectivityCertificate:
         assert stops == [True]
 
 
+def joukowski(lam):
+    return laurent_map([lam, 0, 1])
+
+
+def brute_force_apart(nodes, tubes):
+    """Reference for _curves_apart: every segment pair, no hash."""
+    rows, n = nodes.shape
+    start = nodes.ravel()
+    end = np.roll(nodes, -1, axis=1).ravel()
+    tube = np.repeat(tubes, n)
+    a, b = np.triu_indices(rows * n, k=1)
+    gap = (b - a) % n
+    keep = ~((a // n == b // n) & ((gap == 1) | (gap == n - 1)))
+    a, b = a[keep], b[keep]
+    distance = _segment_distances(start[a], end[a], start[b], end[b])
+    return bool(np.all(distance > tube[a] + tube[b]))
+
+
+class TestBoundaryCertificate:
+    @pytest.mark.parametrize("r", [0.25, 0.4, 0.5])
+    @pytest.mark.parametrize("grid", [8, 16, 32, 64])
+    def test_mobius_maps_certified_at_every_grid(self, grid, r):
+        for coefficients in ([0, 0, 1], [r, 0, 0]):
+            cert = injectivity_certificate(laurent_map(coefficients), r, target_grid=grid)
+            assert cert.status == "certified", coefficients
+            assert (cert.grid_size, cert.samples, cert.critical_points) == (None, 2048, 0)
+            assert 0.0 < cert.tube < 1e-6
+
+    # z + lambda/z identifies z1 != z2 exactly when z1 z2 = lambda: injective
+    # for |lambda| < r^2; for r^2 < |lambda| < 1 its critical points
+    # +-sqrt(lambda) lie in the annulus
+    @pytest.mark.parametrize("band, expected", [
+        ((0.0, 0.95), "certified"),
+        ((1.005, 1.05), "refuted"),
+        ((1.2, None), "refuted"),
+    ])
+    def test_joukowski_bands(self, band, expected):
+        rng = np.random.default_rng(int(100 * band[0]))
+        for _ in range(12):
+            r = float(rng.uniform(0.15, 0.7))
+            high = 0.9 / r ** 2 if band[1] is None else band[1]
+            lam = r * r * rng.uniform(band[0], high) * np.exp(2j * np.pi * rng.uniform())
+            samples = int(rng.choice([512, 1024, 2048]))
+            cert = injectivity_certificate(joukowski(lam), r, samples=samples)
+            assert cert.status == expected, (r, lam, samples)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_powers_refuted(self, k):
+        rng = np.random.default_rng(k)
+        c = np.zeros(2 * k + 1, dtype=complex)
+        c[-1] = 1.0
+        for samples in (512, 1024, 2048):
+            r = float(rng.uniform(0.15, 0.7))
+            cert = injectivity_certificate(laurent_map(c), r, samples=samples)
+            assert (cert.status, cert.critical_points) == ("refuted", 0), (r, samples)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_noninjective_witnesses_refuted(self, index):
+        name, f, r = noninjective_witnesses()[index]
+        c = f.laurent_coefficients
+        m = len(c) // 2
+        # critical points: roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m}
+        moduli = np.abs(np.roots((np.arange(-m, m + 1) * c)[::-1]))
+        assert np.any((moduli > r) & (moduli < 1.0)), name
+        for samples in (512, 1024, 2048):
+            assert injectivity_certificate(f, r, samples=samples).status == "refuted", (name, samples)
+
+    def test_wrapped_evaluator_keeps_the_coefficients(self):
+        f = laurent_map([0.3, 0, 0, 1, 0.1])
+        wrapped = SampledMap(functools.wraps(f.evaluator)(lambda z: f.evaluator(z)), f.derivative_evaluator)
+        assert np.array_equal(wrapped.laurent_coefficients, f.laurent_coefficients)
+        assert grid_only(f).laurent_coefficients is None
+        assert polynomial_map([0, 1]).laurent_coefficients is None
+
+    @pytest.mark.parametrize("coefficients, reason", [
+        # critical points 5e-10 r outside the inner circle: too close for a trusted count
+        ([0.25 * (1 + 1e-9), 0, 1], "critical points without a trusted count"),
+        ([0, 0.5, 0], "preimages of f(sqrt r): untrusted"),  # a constant map
+        ([0.249, 0, 1], "boundary curves not locally injective"),  # |f'| ~ 0.004 on |z| = r
+    ])
+    def test_inconclusive_reason_names_the_failed_test(self, coefficients, reason):
+        cert = injectivity_certificate(laurent_map(coefficients), 0.5, samples=512)
+        assert (cert.status, cert.reason) == ("inconclusive", reason)
+
+    def test_turning_numbers_stop_a_missed_critical_point(self, monkeypatch):
+        # with no root located, z + lambda/z with r^2 < |lambda| < r^1.5 passes
+        # the preimage count (the second preimage lambda/sqrt(r) of f(sqrt r)
+        # lies in the hole) and has simple, disjoint boundary curves, but its
+        # two critical points +-sqrt(lambda) make the turning numbers differ
+        monkeypatch.setattr(rouche, "_roots", lambda p: np.zeros(0, dtype=complex))
+        for r, lam in ((0.3, 0.12), (0.4, 0.2j), (0.5, -0.3)):
+            cert = injectivity_certificate(joukowski(lam), r, samples=1024)
+            assert (cert.status, cert.reason) == ("inconclusive", "turning numbers differ"), (r, lam)
+
+    def test_roots_match_numpy(self):
+        rng = np.random.default_rng(4)
+        for degree in range(1, 9):
+            for _ in range(50):
+                p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                expected = np.roots(p[::-1])
+                found = _roots(p)
+                assert len(found) == degree
+                gaps = np.abs(found[:, None] - expected[None, :]).min(axis=1)
+                assert np.all(gaps <= 1e-9 * np.maximum(1.0, np.abs(found))), (degree, p)
+        # zero roots and a vanishing leading coefficient drop out
+        assert np.allclose(np.sort_complex(_roots(np.array([0, 0, -0.09, 0, 1, 0]))), [-0.3, 0.3])
+        assert len(_roots(np.zeros(3))) == 0 and len(_roots(np.array([2.0]))) == 0
+
+    def test_hash_matches_brute_force(self):
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for _ in range(300):
+            n = int(rng.choice([8, 16, 40]))
+            theta = 2 * np.pi * np.arange(n) / n
+            radii = rng.uniform(0.2, 1.0, (2, 1))
+            wobble = 1.0 + rng.uniform(0.0, 0.6) * rng.standard_normal((2, n))
+            nodes = radii * wobble * np.exp(1j * theta) + 0.1 * rng.standard_normal((2, 1))
+            tubes = 10.0 ** rng.uniform(-4, -1, 2)
+            expected = brute_force_apart(nodes, tubes)
+            assert _curves_apart(nodes, tubes) == expected
+            outcomes.append(expected)
+        assert 0.2 < np.mean(outcomes) < 0.8
+
+    def test_segment_distances_match_dense_sampling(self):
+        rng = np.random.default_rng(6)
+        p1, q1, p2, q2 = rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))
+        distance = _segment_distances(p1, q1, p2, q2)
+        t = np.linspace(0.0, 1.0, 401)
+        for i in range(200):
+            first = p1[i] + t * (q1[i] - p1[i])
+            second = p2[i] + t * (q2[i] - p2[i])
+            sampled = np.abs(first[:, None] - second[None, :]).min()
+            spacing = (abs(q1[i] - p1[i]) + abs(q2[i] - p2[i])) / 400
+            assert distance[i] - 1e-12 <= sampled <= distance[i] + spacing
+        assert np.count_nonzero(distance == 0.0) > 25
+
+
 class TestCertificateMemory:
     @pytest.mark.parametrize("grid", [32, 64])
     def test_peak_does_not_grow_with_the_grid(self, grid):
         # a whole targets x 4096 matrix per circle would take 64 MiB at grid 32
         tracemalloc.start()
         try:
-            injectivity_certificate(MILD, 0.4, target_grid=grid, samples=2048)
+            injectivity_certificate(grid_only(MILD), 0.4, target_grid=grid, samples=2048)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
