@@ -2,8 +2,9 @@
 """Argument-principle zero counting and injectivity certificates.
 
 Counts zeros of sample maps inside circles and annuli, demonstrates the
-dominance test, and runs the injectivity certificate on Laurent maps that
-are and are not univalent on an annulus.
+dominance test, and runs the injectivity certificate on a disc
+automorphism and on Laurent maps that are and are not univalent on an
+annulus.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from squeezing import (
     CircleContour,
     SampledMap,
+    disc_automorphism,
     injectivity_certificate,
     laurent_map,
     polynomial_map,
@@ -39,7 +41,9 @@ g = polynomial_map([0.0, 0.5])
 print(f"\n|0.5 z| < |z^3| on the circle: {rouche_dominates(f, g, unit)}"
       f" -> equal counts {zero_count(f, unit)} == {zero_count(cubic, unit)}")
 
-print("\ninjectivity certificates on the annulus 0.5 < |z| < 1 (from the boundary curves)")
+print("\ninjectivity certificates on the annulus 0.5 < |z| < 1")
+automorphism = injectivity_certificate(disc_automorphism(0.3 + 0.2j), 0.5)
+print(f"  {'disc automorphism':<18} -> {automorphism.status:<12} (exact, no sampling)")
 candidates = [
     ("identity z", laurent_map([0, 0, 1])),
     ("reflection 0.5/z", laurent_map([0.5, 0, 0])),
@@ -48,4 +52,5 @@ candidates = [
 ]
 for name, candidate in candidates:
     certificate = injectivity_certificate(candidate, 0.5)
-    print(f"  {name:<16} -> {certificate.status:<12} ({certificate.critical_points} critical points)")
+    print(f"  {name:<18} -> {certificate.status:<12} ({certificate.critical_points} critical points,"
+          " from the boundary curves)")

@@ -335,7 +335,7 @@ def cmd_search(args) -> int:
             "family": candidate.family,
             "coefficients": [[c.real, c.imag] for c in candidate.coefficients],
             "samples": samples,
-            "grid_size": None if certificate is None else certificate.grid_size,
+            "grid_size": None,  # kept so witness records keep their keys; no certificate uses a grid
             "min_boundary_modulus": None if certificate is None else certificate.min_boundary_modulus,
             "tube": None if certificate is None else certificate.tube,
             "critical_points": None if certificate is None else certificate.critical_points,

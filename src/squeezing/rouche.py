@@ -4,30 +4,28 @@ The count of zeros of a holomorphic map inside a circle (or inside an
 annulus bounded by two circles) is the contour integral of f'/f divided by
 2*pi*i, evaluated with the trapezoidal rule on equispaced samples, which is
 spectrally accurate for analytic integrands.  Dominance |g| < |f| on the
-contour forces f and f + g to enclose equally many zeros.
+contour forces f and f + g to enclose equally many zeros.  One kernel,
+``_argument_sums``, computes these sums for one target w at a time, one
+contour at a time, at two resolutions taken from one evaluation (the
+coarse sum reads the even-indexed nodes).
 
-Injectivity on an annulus is certified two ways, chosen by the input alone.
-A Laurent map (one that carries its coefficients, as ``laurent_map``
-builds it) is certified from its two boundary curves: no critical point in
-the annulus, and simple, disjoint image curves, each checked against bounds
-computed from the coefficients (see ``injectivity_certificate``); its cost
-depends on the sample count only.  Any other map gets the grid pass: the
-zeros of f - w are counted over a grid of targets w at two resolutions
-taken from one evaluation at 2N samples (the N-sample count reads the
-even-indexed nodes).  That pass evaluates f and f' once per circle and then
-walks the targets centre-out in cache-sized row blocks through one reused
-buffer, so its memory does not grow with the target grid; once a block
-holds a trusted count >= 2 it settles as refuted and computes only the
-remaining targets' guard margins.  "inconclusive" is an allowed terminal
-state of both, reported with the test that failed, and consumers must treat
-it as unusable, never as a certification.
+Injectivity on an annulus is certified by a proof chosen by the input
+alone.  A disc automorphism (built by ``disc_automorphism``) is injective
+on the whole closed disc, so it is certified without sampling.  A Laurent
+map (one that carries its coefficients, as ``laurent_map`` builds it) is
+certified from its two boundary curves: no critical point in the annulus,
+and simple, disjoint image curves, each checked against bounds computed
+from the coefficients (see ``injectivity_certificate``); its cost depends
+on the sample count only.  Any other map is inconclusive.  "inconclusive"
+is an allowed terminal state, reported with the test that failed, and
+consumers must treat it as unusable, never as a certification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,10 +43,6 @@ MAX_SAMPLES = 2 ** 16
 
 _STABLE_TOL = 1e-10
 _DOMINANCE_SAFETY = 1.05
-
-#: Size of the targets x samples complex block the argument-principle pass
-#: works on: small enough to stay in cache across its elementwise passes.
-_BLOCK_BYTES = 1 << 20
 
 #: Segment pairs the boundary certificate measures at once.
 _PAIR_CHUNK = 1024
@@ -96,30 +90,19 @@ class CountResult:
     samples: int
 
 
-class InconclusiveReason(NamedTuple):
-    """Targets whose count was not trusted, each under the first test it
-    failed in this order, so the three numbers add up to the untrusted targets."""
-
-    guard: int  # min |f - w| on the contours at or below the guard
-    snap: int  # a resolution's sum farther than SNAP_WINDOW from an integer
-    disagreement: int  # the two resolutions snap to different integers
-
-
 @dataclass(frozen=True)
 class InjectivityCertificate:
     """Outcome of ``injectivity_certificate``.
 
-    The grid pass sets ``grid_size`` and, when inconclusive, an
-    ``InconclusiveReason``; the boundary pass for Laurent maps leaves
-    ``grid_size`` None, names its failed test in ``reason`` and fills the
-    last three fields.  ``min_boundary_modulus`` is min |f - w| over the
-    boundary nodes and the targets w counted (inf when none was).
+    An inconclusive certificate names its failed test in ``reason``.  The
+    boundary pass for Laurent maps fills the last three fields.
+    ``min_boundary_modulus`` is min |f - w| over the boundary nodes and the
+    target w counted (inf when none was).
     """
 
     status: str  # certified | refuted | inconclusive
-    grid_size: int | None
     min_boundary_modulus: float
-    reason: InconclusiveReason | str | None = None  # set only when inconclusive
+    reason: str | None = None  # set only when inconclusive
     samples: int | None = None  # the boundary curves have 2 * samples nodes each
     tube: float | None = None  # widest chord tube of the two boundary curves
     critical_points: int | None = None  # roots of z^{m+1} f' located in the annulus
@@ -168,6 +151,28 @@ def laurent_map(coefficients) -> SampledMap:
     return SampledMap(f, df)
 
 
+def disc_automorphism(a) -> SampledMap:
+    """Map for the disc automorphism z -> (z - a)/(1 - conj(a) z), |a| < 1.
+
+    The evaluator carries ``a`` as ``automorphism_parameter``.  Unlike
+    ``hyperbolic.mobius_map`` it also evaluates on and beyond |z| = 1, where
+    contours lie.
+    """
+    a = complex(a)
+    if not abs(a) < 1.0:
+        raise DomainValidationError("automorphism parameter must lie in the open unit disc")
+    conjugate = a.conjugate()
+
+    def f(z):
+        return (z - a) / (1.0 - conjugate * z)
+
+    def df(z):
+        return (1.0 - abs(a) ** 2) / (1.0 - conjugate * z) ** 2
+
+    f.automorphism_parameter = a
+    return SampledMap(f, df)
+
+
 def unit_annulus_contours(inner_radius: float, samples: int = 64):
     """Oriented boundary of {inner_radius < |z| < 1}: outer ccw, inner cw."""
     if not 0.0 < inner_radius < 1.0:
@@ -190,60 +195,37 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
     return tuple(contours)
 
 
-def _argument_sums(
-    f: SampledMap, contours: Sequence[CircleContour], targets, n: int, stop: Callable | None = None
-):
-    """Per-target argument-principle sums of f - w at n and at the even-indexed
-    n/2 samples per contour, and the margins min |f - w|.
+def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], w, n: int):
+    """Argument-principle sums of f - w over the oriented contours at n and
+    at the even-indexed n/2 samples per contour, and the margin min |f - w|.
 
-    f and f' are evaluated once per contour; the targets are then walked in
-    blocks of ``max(1, _BLOCK_BYTES // (16 * n))`` rows through one reused
-    rows x n buffer, both contours per block, so the elementwise passes stay
-    in cache and memory does not grow with the target count.  Each target's
-    arithmetic is the whole-matrix pass's, in the same order.
-
-    ``stop``, if given, is called with one finished block's ``(fine, coarse,
-    margins)``; once it returns True the later blocks compute their margins
-    only, and their fine and coarse sums stay 0.
+    The contours are evaluated one at a time, so only one contour's samples
+    are alive at once.
     """
-    count = len(targets)
-    fine = np.zeros(count, dtype=complex)
-    coarse = np.zeros(count, dtype=complex)
-    margins = np.full(count, np.inf)
-    sampled = []
+    fine = coarse = 0j
+    margin = np.inf
     for contour in contours:
         z, ring = _circle_nodes(contour, n)
-        values = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape)
+        shifted = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape) - w
         derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
-        sampled.append((contour.orientation, ring, values, derivatives))
-    rows = max(1, _BLOCK_BYTES // (16 * n))
-    buffer = np.empty((min(rows, count), n), dtype=complex)
-    stopped = False
-    for start in range(0, count, rows):
-        block = buffer[: min(rows, count - start)]
-        part = slice(start, start + len(block))
-        for orientation, ring, values, derivatives in sampled:
-            np.subtract(values, targets[part, None], out=block)
-            margins[part] = np.minimum(margins[part], np.abs(block).min(axis=1))
-            if stopped:
-                continue
-            # targets touching the image curve produce non-finite rows; they are
-            # rejected by the guard margin, so the arithmetic may proceed silently
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(derivatives, block, out=block)
-                block *= ring
-                fine[part] += orientation * block.mean(axis=1)
-                coarse[part] += orientation * block[:, ::2].mean(axis=1)
-        if stop is not None and not stopped:
-            stopped = bool(stop(fine[part], coarse[part], margins[part]))
-    return fine, coarse, margins
+        del z
+        # np.minimum, not min: a NaN margin must survive to fail the guard
+        margin = np.minimum(margin, np.abs(shifted).min())
+        # f - w vanishing on the contour gives non-finite sums; the guard
+        # margin rejects them, so the arithmetic may proceed silently
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(derivatives, shifted, out=shifted)
+            shifted *= ring
+            fine += contour.orientation * shifted.mean()
+            coarse += contour.orientation * shifted[::2].mean()
+    return fine, coarse, margin
 
 
 def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, guard: float):
-    total, _, margins = _argument_sums(f, contours, np.zeros(1), n)
-    if margins[0] <= guard:
-        raise GuardViolation(f"|f| = {margins[0]:.3e} <= guard {guard:.1e} on the contours")
-    return total[0]
+    total, _, margin = _argument_sums(f, contours, 0.0, n)
+    if not margin > guard:  # a NaN margin fails too
+        raise GuardViolation(f"|f| = {margin:.3e} <= guard {guard:.1e} on the contours")
+    return total
 
 
 def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD) -> CountResult:
@@ -251,8 +233,9 @@ def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD)
 
     Sample counts are doubled adaptively until the quadrature value
     stabilises, capped at MAX_SAMPLES.  Raises GuardViolation if |f| dips to
-    the guard threshold at any evaluated sample and NonIntegerResidual if the
-    settled value is farther than SNAP_WINDOW from an integer.
+    the guard threshold (or is NaN) at any evaluated sample and
+    NonIntegerResidual if the settled value is farther than SNAP_WINDOW from
+    an integer (or is not finite).
     """
     contour_tuple = _as_contours(contours)
     n = max(c.samples for c in contour_tuple)
@@ -264,9 +247,9 @@ def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD)
         value = refined
         if stable:
             break
-    nearest = round(value.real)
+    nearest = np.rint(value.real)
     residual = abs(value - nearest)
-    if residual > SNAP_WINDOW:
+    if not residual <= SNAP_WINDOW:  # NaN fails too
         raise NonIntegerResidual(
             f"quadrature value {value:.6g} is {residual:.3g} from the nearest integer"
         )
@@ -293,45 +276,19 @@ def rouche_dominates(f: SampledMap, g: SampledMap, contours, samples: int | None
     return bool(max_g * _DOMINANCE_SAFETY < min_f)
 
 
-def _range_box(f: SampledMap, inner_radius: float):
-    radii = np.linspace(inner_radius, 1.0, 24)
-    angles = np.exp(2j * np.pi * np.arange(128) / 128)
-    values = np.asarray(f.evaluator(np.outer(radii, angles).ravel()))
-    re_low, re_high = values.real.min(), values.real.max()
-    im_low, im_high = values.imag.min(), values.imag.max()
-    if re_high - re_low < 1e-12:
-        re_low, re_high = re_low - 1e-6, re_high + 1e-6
-    if im_high - im_low < 1e-12:
-        im_low, im_high = im_low - 1e-6, im_high + 1e-6
-    return re_low, re_high, im_low, im_high
-
-
-def _trusted_counts(fine, coarse, margins, guard: float):
-    """Nearest counts and the nested trust masks (guarded, snapped, trustworthy).
-
-    A count is trusted only when the guard margin holds and both resolutions
-    snap to the same integer within the window.
-    """
+def _trusted_count(fine, coarse, margin, guard: float) -> int | None:
+    """The nearest count, trusted only when the guard margin holds and both
+    resolutions snap to the same integer within the window; else None."""
     nearest = np.rint(fine.real)
     coarse_nearest = np.rint(coarse.real)
-    guarded = margins > guard
-    snapped = (
-        guarded
-        & (np.abs(fine - nearest) <= SNAP_WINDOW)
-        & (np.abs(coarse - coarse_nearest) <= SNAP_WINDOW)
-    )
-    trustworthy = snapped & (nearest == coarse_nearest)
-    return nearest, guarded, snapped, trustworthy
-
-
-def _refutes(fine, coarse, margins, guard: float) -> bool:
-    """True iff some target has a trusted count >= 2."""
-    # rint(x) >= 2 exactly when x >= 1.5, so most blocks skip the trust tests;
-    # np.any, not max: a NaN sum would hide a refuting one from max
-    if not np.any(fine.real >= 1.5):
-        return False
-    nearest, _, _, trustworthy = _trusted_counts(fine, coarse, margins, guard)
-    return bool(np.any(trustworthy & (nearest >= 2)))
+    if (
+        margin > guard
+        and abs(fine - nearest) <= SNAP_WINDOW
+        and abs(coarse - coarse_nearest) <= SNAP_WINDOW
+        and nearest == coarse_nearest
+    ):
+        return int(nearest)
+    return None
 
 
 def _segment_distances(p1, q1, p2, q2):
@@ -458,7 +415,7 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
     k = np.arange(-m, m + 1)
 
     def outcome(status, margin=np.inf, reason=None, tube=None, critical=None):
-        return InjectivityCertificate(status, None, float(margin), reason, samples, tube, critical)
+        return InjectivityCertificate(status, float(margin), reason, samples, tube, critical)
 
     # z^{m+1} f'(z) = sum_k k c_k z^{k+m} shares the zeros of f' in the annulus.
     # Its roots only locate them; a refutation needs a trusted count on a disc
@@ -480,13 +437,12 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
 
     n = 2 * samples
     w0 = f.evaluator(math.sqrt(inner_radius))
-    fine, coarse, margins = _argument_sums(f, unit_annulus_contours(inner_radius), np.array([w0], dtype=complex), n)
-    nearest, _, _, trusted = _trusted_counts(fine, coarse, margins, guard)
-    margin = margins[0]
-    if trusted[0] and nearest[0] >= 2:
+    fine, coarse, margin = _argument_sums(f, unit_annulus_contours(inner_radius), w0, n)
+    count = _trusted_count(fine, coarse, margin, guard)
+    if count is not None and count >= 2:
         return outcome("refuted", margin, critical=critical)
-    if not (trusted[0] and nearest[0] == 1):
-        count = int(nearest[0]) if trusted[0] else "untrusted"
+    if count != 1:
+        count = "untrusted" if count is None else count
         return outcome("inconclusive", margin, f"preimages of f(sqrt r): {count}", critical=critical)
 
     step = 2.0 * np.pi / n
@@ -525,11 +481,20 @@ def injectivity_certificate(
     """Injectivity check for f on the annulus {r < |z| < 1}.
 
     ``annulus`` may be the inner radius itself or any object with an ``r``
-    attribute.  Both passes refute only on trusted counts, and
-    "inconclusive" names the test that failed in ``reason``.
+    attribute.  ``target_grid`` is not read; it stays in the signature for
+    the callers that pass it.  The proof is chosen by the input alone, a
+    refutation rests only on trusted counts, and "inconclusive" names the
+    test that failed in ``reason``.
 
-    **Laurent maps** (``f.laurent_coefficients`` is set): the boundary pass,
-    which ignores ``target_grid``.  Refutations first, cheapest first:
+    **Disc automorphisms** (built by ``disc_automorphism``): certified
+    without sampling, and ``min_boundary_modulus`` is inf.  For |a| < 1 the
+    pole 1/conj(a) of phi_a(z) = (z - a)/(1 - conj(a) z) lies outside the
+    closed unit disc, |phi_a| = 1 on |z| = 1, and phi_{-a} inverts phi_a, so
+    phi_a maps the closed disc bijectively onto itself and is injective on
+    every annulus inside it.
+
+    **Laurent maps** (``f.laurent_coefficients`` is set): the boundary pass.
+    Refutations first, cheapest first:
 
     1. approximate roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m} locate the
        critical points; for each one inside the annulus,
@@ -566,57 +531,16 @@ def injectivity_certificate(
     the curves has two preimages, and by the open mapping theorem neither
     has any w on them.
 
-    **Other maps**: the grid pass.  A cell-centred target_grid x target_grid
-    grid of w values covers the sampled numerical range of f; for each w the
-    zeros of f - w inside the annulus are counted at 2*samples and, on the
-    even-indexed nodes of that one evaluation, at samples nodes per circle.
-    Any trustworthy count >= 2 refutes injectivity; the certificate is
-    "certified" only when every target yields a trustworthy count <= 1, and
-    "inconclusive" otherwise (guard violations and unstable quadrature are
-    never certified); an inconclusive certificate's ``reason`` counts the
-    untrusted targets by the test they failed.  The targets are walked
-    centre-out, nearest the centre of the range box first, where folds near
-    the image of the inner circle tend to sit; once a block holds a trusted
-    count >= 2 the later targets get their guard margins only.  The outcome
-    does not depend on the order: a refutation needs one trusted count >= 2,
-    and the margins, hence ``min_boundary_modulus``, are computed for every
-    target.  A certificate over a finite grid is numerical evidence, not a
-    proof of univalence: a fold between targets goes unseen.
+    **Other maps** are inconclusive: no proof applies to a bare evaluator.
     """
     inner_radius = float(getattr(annulus, "r", annulus))
     if not 0.0 < inner_radius < 1.0:
         raise DomainValidationError("annulus inner radius must lie in (0, 1)")
-    grid = int(target_grid)
-    if grid < 2:
-        raise DomainValidationError("target_grid must be at least 2")
+    if getattr(f.evaluator, "automorphism_parameter", None) is not None:
+        return InjectivityCertificate("certified", math.inf)
     coefficients = f.laurent_coefficients
     if coefficients is not None:
         return _boundary_certificate(coefficients, f, inner_radius, int(samples), guard)
-
-    re_low, re_high, im_low, im_high = _range_box(f, inner_radius)
-    xs = re_low + (np.arange(grid) + 0.5) * (re_high - re_low) / grid
-    ys = im_low + (np.arange(grid) + 0.5) * (im_high - im_low) / grid
-    targets = (xs[:, None] + 1j * ys[None, :]).ravel()
-    centre = complex(0.5 * (re_low + re_high), 0.5 * (im_low + im_high))
-    targets = targets[np.argsort(np.abs(targets - centre), kind="stable")]
-
-    fine, coarse, margins = _argument_sums(
-        f,
-        unit_annulus_contours(inner_radius),
-        targets,
-        2 * samples,
-        stop=lambda *sums: _refutes(*sums, guard),
+    return InjectivityCertificate(
+        "inconclusive", math.inf, "no certificate for this map: build it with laurent_map or disc_automorphism"
     )
-
-    min_margin = float(margins.min())
-    if _refutes(fine, coarse, margins, guard):
-        return InjectivityCertificate("refuted", grid, min_margin)
-    nearest, guarded, snapped, trustworthy = _trusted_counts(fine, coarse, margins, guard)
-    if np.all(trustworthy) and np.all(nearest <= 1):
-        return InjectivityCertificate("certified", grid, min_margin)
-    reason = InconclusiveReason(
-        int(np.count_nonzero(~guarded)),
-        int(np.count_nonzero(guarded & ~snapped)),
-        int(np.count_nonzero(snapped & ~trustworthy)),
-    )
-    return InjectivityCertificate("inconclusive", grid, min_margin, reason)

@@ -188,12 +188,10 @@ class TestSearch:
         coefficients = np.array([complex(re, im) for re, im in witness["coefficients"]])
         assert list(witness)[-2:] == ["tube", "critical_points"]
         if family == "laurent":
-            # the boundary certificate uses no target grid and finds no critical point
+            # grid_size is always null; the boundary certificate finds no critical point
             assert witness["grid_size"] is None and witness["critical_points"] == 0
             assert 0.0 < witness["tube"] < 1e-3
-            certificate = InjectivityCertificate(
-                "certified", witness["grid_size"], witness["min_boundary_modulus"]
-            )
+            certificate = InjectivityCertificate("certified", witness["min_boundary_modulus"])
             candidate = EmbeddingCandidate.laurent(coefficients, certificate)
         else:
             assert witness["grid_size"] is None and witness["min_boundary_modulus"] is None
