@@ -396,7 +396,8 @@ def suite_planar():
     c_ref = excision_constant(0.2, 0.3, 0.6)
     ws = np.linspace(0.35, 0.9, 12)
     cs = [excision_constant(0.2, 0.3, w) for w in ws]
-    # grid assertion on the implementation, not a theorem: c grows with w
+    # a theorem: the objective at each r grows with w, since hyperbolic_radius(r/w)
+    # decreases in w, and its infimum over r is attained, so c grows with w
     ok = c_ref > 0 and all(b > a for a, b in zip(cs, cs[1:]))
     results.append(_result("planar", "excision-constant-positive-monotone", ok, f"c = {c_ref:.6f}"))
 

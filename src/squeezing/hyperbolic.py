@@ -4,7 +4,12 @@ Conversions between Euclidean radii (measured from the centre of the disc)
 and hyperbolic distances, the Poincare distance on the disc, the Kobayashi
 distance on the ball, and the Mobius transports used by the rest of the
 package.  Everything here is pure and stateless, and the scalar functions
-accept numpy arrays in place of scalars.
+accept numpy arrays in place of scalars.  In :func:`hyperbolic_radius` and
+:func:`euclidean_radius` a Python or numpy float skips ``np.asarray`` and the
+array-wide checks; both paths apply the same ufunc (``np.log1p``, ``np.tanh``)
+and so give the same bits, which ``math.log1p`` and ``math.tanh`` do not on
+some inputs.  The complex functions stay on array arithmetic, because numpy's
+complex-scalar division does not round like its array loop.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ def hyperbolic_radius(r):
     Strictly increasing on [0, 1).  Evaluated as log1p(2r/(1-r)) so radii up
     to MAX_RADIUS stay finite and small radii keep full relative accuracy.
     """
+    if isinstance(r, float):
+        if r < 0.0 or r >= 1.0:
+            raise DomainValidationError("Euclidean radius must lie in [0, 1)")
+        return float(np.log1p(2.0 * r / (1.0 - r)))
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise DomainValidationError("Euclidean radius must lie in [0, 1)")
@@ -42,6 +51,10 @@ def hyperbolic_radius(r):
 
 def euclidean_radius(w):
     """Inverse of :func:`hyperbolic_radius`: tanh(w/2) for w >= 0."""
+    if isinstance(w, float):
+        if not 0.0 <= w < np.inf:  # also rejects nan
+            raise DomainValidationError("hyperbolic distance must be finite and >= 0")
+        return float(np.tanh(0.5 * w))
     arr = np.asarray(w, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainValidationError("hyperbolic distance must be finite and >= 0")

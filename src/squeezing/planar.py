@@ -10,7 +10,7 @@ Lipschitz property check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -198,12 +198,17 @@ class ExcisedDomain:
     constants depend only on (u, v, w), so truncating an infinite family of
     holes to the listed ones does not weaken the certificate for points of
     the truncated domain.
+
+    ``hole_circles`` and ``collar_circles`` are the (centre, radius) images of
+    the radii ``exc.radius`` and (v+w)/2, computed once at construction.
     """
 
     u: float
     v: float
     w: float
     excisions: tuple
+    hole_circles: tuple = field(init=False, repr=False, compare=False)
+    collar_circles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.u < self.v < self.w < 1.0:
@@ -227,6 +232,9 @@ class ExcisedDomain:
                     raise DomainValidationError(
                         f"excisions {i} and {j} overlap at separation radius w = {self.w}"
                     )
+        mid = 0.5 * (self.v + self.w)
+        object.__setattr__(self, "hole_circles", tuple(exc.circle_image(exc.radius) for exc in self.excisions))
+        object.__setattr__(self, "collar_circles", tuple(exc.circle_image(mid) for exc in self.excisions))
 
     @cached_property
     def near_constant(self) -> float:
@@ -240,11 +248,7 @@ class ExcisedDomain:
         point = complex(z)
         if abs(point) >= 1.0:
             return False
-        for exc in self.excisions:
-            center, radius = exc.circle_image(exc.radius)
-            if abs(point - center) <= radius:
-                return False
-        return True
+        return not any(abs(point - center) <= radius for center, radius in self.hole_circles)
 
 
 def excised_domain_lower_bound(domain: ExcisedDomain, z) -> BoundCertificate:
@@ -258,10 +262,8 @@ def excised_domain_lower_bound(domain: ExcisedDomain, z) -> BoundCertificate:
     point = complex(z)
     if not domain.contains(point):
         raise PointNotInDomain(f"z = {point} is not in the excised domain")
-    mid = 0.5 * (domain.v + domain.w)
     region = "far"
-    for index, exc in enumerate(domain.excisions):
-        center, radius = exc.circle_image(mid)
+    for index, (center, radius) in enumerate(domain.collar_circles):
         if abs(point - center) < radius:
             region = "near"
             break

@@ -235,12 +235,12 @@ def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD)
     stabilises, capped at MAX_SAMPLES.  Raises GuardViolation if |f| dips to
     the guard threshold (or is NaN) at any evaluated sample and
     NonIntegerResidual if the settled value is farther than SNAP_WINDOW from
-    an integer (or is not finite).
+    an integer, or at once when a quadrature value is not finite.
     """
     contour_tuple = _as_contours(contours)
     n = max(c.samples for c in contour_tuple)
     value = _quadrature(f, contour_tuple, n, guard)
-    while n < MAX_SAMPLES:
+    while np.isfinite(value) and n < MAX_SAMPLES:
         n *= 2
         refined = _quadrature(f, contour_tuple, n, guard)
         stable = abs(refined - value) <= _STABLE_TOL

@@ -85,6 +85,56 @@ class TestRadialMaps:
         assert euclidean_radius(u + v) <= euclidean_radius(u) + euclidean_radius(v) + TOLERANCE
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _outcome(fn, x):
+    try:
+        return int(_bits([fn(x)])[0])
+    except DomainValidationError as exc:
+        return type(exc)
+
+
+class TestScalarPath:
+    """Python and numpy floats take a short path that must give the bits of
+    the array path's element, with the same errors on the same inputs."""
+
+    N = 100_000
+    rng = np.random.default_rng(20260)
+    radii = np.concatenate([
+        rng.random(N // 2),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, N // 4),  # near the boundary
+        10.0 ** -rng.uniform(0.0, 300.0, N // 4),  # tiny radii
+        [0.0, 5e-324, MAX_RADIUS],
+    ])
+    distances = np.concatenate([
+        rng.uniform(0.0, 40.0, N // 2),
+        10.0 ** rng.uniform(-300.0, 3.0, N // 2),
+        [0.0, 5e-324, 1e308],
+    ])
+    SPECIAL = [-0.0, math.nan, -1e-300, -1.0, 1.0, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("fn, name", [(hyperbolic_radius, "radii"), (euclidean_radius, "distances")])
+    def test_scalars_match_the_array_elements(self, fn, name):
+        values = getattr(self, name)
+        expected = _bits(fn(values))
+        assert np.array_equal(_bits([fn(x) for x in values.tolist()]), expected)
+        assert np.array_equal(_bits([fn(x) for x in values]), expected)  # np.float64 items
+
+    @pytest.mark.parametrize("fn", [hyperbolic_radius, euclidean_radius])
+    @pytest.mark.parametrize("x", SPECIAL)
+    def test_special_values_agree(self, fn, x):
+        array = _outcome(lambda v: fn(np.array([v]))[0], x)
+        assert _outcome(fn, x) == array
+        assert _outcome(fn, np.float64(x)) == array
+
+    def test_scalar_results_are_python_floats(self):
+        for x in (0.5, np.float64(0.5)):
+            assert type(hyperbolic_radius(x)) is float
+            assert type(euclidean_radius(x)) is float
+
+
 class TestPoincareDistance:
     def test_from_center(self):
         for z in (0.3, -0.7j, 0.2 + 0.4j):

@@ -102,6 +102,17 @@ class TestZeroCount:
         with pytest.raises(NonIntegerResidual):
             zero_count_detailed(nan_derivative, contours)
 
+    def test_nan_quadrature_raises_without_refining(self):
+        calls = []
+
+        def nan_derivative(z):
+            calls.append(np.size(z))
+            return np.full_like(z, np.nan)
+
+        with pytest.raises(NonIntegerResidual):
+            zero_count_detailed(SampledMap(lambda z: z - 0.75, nan_derivative), CircleContour())
+        assert len(calls) <= 2
+
     def test_non_integer_residual_for_zero_hugging_contour(self):
         # zero just outside the circle, between sample points: the quadrature
         # cannot settle on an integer and must say so instead of rounding
