@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -168,19 +167,6 @@ def _serialize_point(vector: np.ndarray) -> list:
     return flat
 
 
-def _env_samples() -> int:
-    raw = os.environ.get("SQUEEZE_SAMPLES")
-    if raw is None:
-        return DEFAULT_SAMPLES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CLIError(f"SQUEEZE_SAMPLES must be an integer, got {raw!r}")
-    if value < 64:
-        raise CLIError("SQUEEZE_SAMPLES must be at least 64")
-    return value
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -309,15 +295,7 @@ def cmd_bound(args) -> int:
 
 def cmd_search(args) -> int:
     annulus = Annulus(args.annulus)
-    samples = _env_samples()
-    result = tier_b_search(
-        annulus,
-        args.rho,
-        degree=args.degree,
-        budget=args.budget,
-        seed=args.seed,
-        samples=samples,
-    )
+    result = tier_b_search(annulus, args.rho, degree=args.degree, budget=args.budget, seed=args.seed)
     candidate = result.best_candidate
     certificate = candidate.certificate  # None for the Mobius families
     record = {
@@ -334,7 +312,7 @@ def cmd_search(args) -> int:
         "witness": {
             "family": candidate.family,
             "coefficients": [[c.real, c.imag] for c in candidate.coefficients],
-            "samples": samples,
+            "samples": DEFAULT_SAMPLES,
             "grid_size": None,  # kept so witness records keep their keys; no certificate uses a grid
             "min_boundary_modulus": None if certificate is None else certificate.min_boundary_modulus,
             "tube": None if certificate is None else certificate.tube,

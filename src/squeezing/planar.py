@@ -29,14 +29,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperbolic import (
-    MAX_RADIUS,
     TOLERANCE,
     euclidean_radius,
     hyperbolic_radius,
     kobayashi_distance,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DISJOINTNESS_MARGIN = 1e-10
 
 
@@ -120,42 +118,20 @@ def annulus_minimum_value(annulus: Annulus) -> float:
     return math.tanh(math.log((1.0 + root) / math.sqrt(1.0 + annulus.r)))
 
 
-def excision_constant(u: float, v: float, w: float, grid: int = 1024) -> float:
+def excision_constant(u: float, v: float, w: float) -> float:
     """inf over r in [u, v] of euclidean_radius(hyperbolic_radius(r/v) - hyperbolic_radius(r/w)).
 
-    Computed by a dense grid scan followed by golden-section refinement of
-    the best bracket down to interval width 1e-12.  Positive for all
+    The infimum is the value at r = u.  With hyperbolic_radius(x) =
+    log((1 + x)/(1 - x)), the bracket has derivative
+    2 [v/(v^2 - r^2) - w/(w^2 - r^2)] in r, which is positive because
+    t -> t/(t^2 - r^2) decreases for t > r and v < w; euclidean_radius
+    increases, so the objective increases in r.  u/v rounds to at most
+    hyperbolic.MAX_RADIUS for every u < v, so no clamp is needed.  Positive for all
     0 < u < v < w < 1.
     """
     if not 0.0 < u < v < w < 1.0:
         raise ParameterOrderViolation("parameters must satisfy 0 < u < v < w < 1")
-
-    def objective(r):
-        # at r = v the inner ratio reaches 1 and the value extends
-        # continuously to 1; clamp to the largest representable radius
-        ratio = np.minimum(np.asarray(r) / v, MAX_RADIUS)
-        return euclidean_radius(hyperbolic_radius(ratio) - hyperbolic_radius(np.asarray(r) / w))
-
-    rs = np.linspace(u, v, grid)
-    values = objective(rs)
-    best = int(np.argmin(values))
-    lo = rs[max(best - 1, 0)]
-    hi = rs[min(best + 1, grid - 1)]
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    refined = objective(0.5 * (lo + hi))
-    return float(min(values[best], refined))
+    return euclidean_radius(hyperbolic_radius(u / v) - hyperbolic_radius(u / w))
 
 
 def mobius_circle_image(a, rho: float) -> tuple[complex, float]:
@@ -246,7 +222,7 @@ class ExcisedDomain:
 
     def contains(self, z) -> bool:
         point = complex(z)
-        if abs(point) >= 1.0:
+        if not abs(point) < 1.0:  # also rejects nan
             return False
         return not any(abs(point - center) <= radius for center, radius in self.hole_circles)
 
@@ -399,17 +375,12 @@ def completeness_criterion(
     return CompletenessReport(bool(worst_margin > 0.0), float(worst_margin), worst_point)
 
 
-def lipschitz_check(
-    squeezing_fn: Callable,
-    distance_fn: Callable,
-    pairs: Iterable,
-    tolerance: float = TOLERANCE,
-) -> bool:
-    """Check |s(x) - s(y)| <= 2 * euclidean_radius(distance(x, y)) + tolerance
+def lipschitz_check(squeezing_fn: Callable, distance_fn: Callable, pairs: Iterable) -> bool:
+    """Check |s(x) - s(y)| <= 2 * euclidean_radius(distance(x, y)) + TOLERANCE
     for every pair, i.e. the squeezing value is 2-Lipschitz with respect to
     the tanh-compressed invariant distance."""
     for x, y in pairs:
         gap = abs(squeezing_fn(x) - squeezing_fn(y))
-        if gap > 2.0 * euclidean_radius(distance_fn(x, y)) + tolerance:
+        if gap > 2.0 * euclidean_radius(distance_fn(x, y)) + TOLERANCE:
             return False
     return True

@@ -221,28 +221,28 @@ def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], w, n: int):
     return fine, coarse, margin
 
 
-def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, guard: float):
+def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int):
     total, _, margin = _argument_sums(f, contours, 0.0, n)
-    if not margin > guard:  # a NaN margin fails too
-        raise GuardViolation(f"|f| = {margin:.3e} <= guard {guard:.1e} on the contours")
+    if not margin > GUARD_THRESHOLD:  # a NaN margin fails too
+        raise GuardViolation(f"|f| = {margin:.3e} <= guard {GUARD_THRESHOLD:.1e} on the contours")
     return total
 
 
-def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD) -> CountResult:
+def zero_count_detailed(f: SampledMap, contours) -> CountResult:
     """Zeros of f (with multiplicity) enclosed by the oriented contours.
 
     Sample counts are doubled adaptively until the quadrature value
     stabilises, capped at MAX_SAMPLES.  Raises GuardViolation if |f| dips to
-    the guard threshold (or is NaN) at any evaluated sample and
+    GUARD_THRESHOLD (or is NaN) at any evaluated sample and
     NonIntegerResidual if the settled value is farther than SNAP_WINDOW from
     an integer, or at once when a quadrature value is not finite.
     """
     contour_tuple = _as_contours(contours)
     n = max(c.samples for c in contour_tuple)
-    value = _quadrature(f, contour_tuple, n, guard)
+    value = _quadrature(f, contour_tuple, n)
     while np.isfinite(value) and n < MAX_SAMPLES:
         n *= 2
-        refined = _quadrature(f, contour_tuple, n, guard)
+        refined = _quadrature(f, contour_tuple, n)
         stable = abs(refined - value) <= _STABLE_TOL
         value = refined
         if stable:
@@ -256,17 +256,17 @@ def zero_count_detailed(f: SampledMap, contours, guard: float = GUARD_THRESHOLD)
     return CountResult(int(nearest), float(residual), n)
 
 
-def zero_count(f: SampledMap, contours, guard: float = GUARD_THRESHOLD) -> int:
-    return zero_count_detailed(f, contours, guard).count
+def zero_count(f: SampledMap, contours) -> int:
+    return zero_count_detailed(f, contours).count
 
 
-def rouche_dominates(f: SampledMap, g: SampledMap, contours, samples: int | None = None) -> bool:
+def rouche_dominates(f: SampledMap, g: SampledMap, contours) -> bool:
     """True iff max |g| * 1.05 < min |f| over the contour samples.
 
     When true, f and f + g enclose the same number of zeros.
     """
     contour_tuple = _as_contours(contours)
-    n = samples or max(c.samples for c in contour_tuple)
+    n = max(c.samples for c in contour_tuple)
     min_f = np.inf
     max_g = 0.0
     for contour in contour_tuple:
@@ -276,13 +276,13 @@ def rouche_dominates(f: SampledMap, g: SampledMap, contours, samples: int | None
     return bool(max_g * _DOMINANCE_SAFETY < min_f)
 
 
-def _trusted_count(fine, coarse, margin, guard: float) -> int | None:
+def _trusted_count(fine, coarse, margin) -> int | None:
     """The nearest count, trusted only when the guard margin holds and both
     resolutions snap to the same integer within the window; else None."""
     nearest = np.rint(fine.real)
     coarse_nearest = np.rint(coarse.real)
     if (
-        margin > guard
+        margin > GUARD_THRESHOLD
         and abs(fine - nearest) <= SNAP_WINDOW
         and abs(coarse - coarse_nearest) <= SNAP_WINDOW
         and nearest == coarse_nearest
@@ -408,7 +408,7 @@ def _roots(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, samples: int, guard: float):
+def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, samples: int):
     """Boundary certificate of the Laurent map f = sum c_k z^k; see
     ``injectivity_certificate``."""
     m = len(c) // 2
@@ -428,7 +428,7 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
     for root in inside:
         radius = 0.5 * min(abs(root) - inner_radius, 1.0 - abs(root))
         try:
-            if zero_count_detailed(critical_polynomial, CircleContour(complex(root), radius), guard).count >= 1:
+            if zero_count_detailed(critical_polynomial, CircleContour(complex(root), radius)).count >= 1:
                 return outcome("refuted", critical=critical)
         except (GuardViolation, NonIntegerResidual):
             continue
@@ -438,7 +438,7 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
     n = 2 * samples
     w0 = f.evaluator(math.sqrt(inner_radius))
     fine, coarse, margin = _argument_sums(f, unit_annulus_contours(inner_radius), w0, n)
-    count = _trusted_count(fine, coarse, margin, guard)
+    count = _trusted_count(fine, coarse, margin)
     if count is not None and count >= 2:
         return outcome("refuted", margin, critical=critical)
     if count != 1:
@@ -476,7 +476,6 @@ def injectivity_certificate(
     annulus,
     target_grid: int = 16,
     samples: int = 2048,
-    guard: float = GUARD_THRESHOLD,
 ) -> InjectivityCertificate:
     """Injectivity check for f on the annulus {r < |z| < 1}.
 
@@ -540,7 +539,7 @@ def injectivity_certificate(
         return InjectivityCertificate("certified", math.inf)
     coefficients = f.laurent_coefficients
     if coefficients is not None:
-        return _boundary_certificate(coefficients, f, inner_radius, int(samples), guard)
+        return _boundary_certificate(coefficients, f, inner_radius, int(samples))
     return InjectivityCertificate(
         "inconclusive", math.inf, "no certificate for this map: build it with laurent_map or disc_automorphism"
     )

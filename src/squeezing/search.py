@@ -410,7 +410,6 @@ def monotonicity_scan(
     degree: int = 2,
     budget: int = 120,
     seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
 ) -> MonotonicityReport:
     """Evaluate the chosen tier's bound on a radial grid over [sqrt(r), 1)
     and count adjacent decreases.
@@ -426,11 +425,11 @@ def monotonicity_scan(
     root = math.sqrt(annulus.r)
     rho = root + (1.0 - root) * np.arange(grid) / grid
     if tier == "A":
-        values = np.array([tier_a_bound(annulus, x, samples).best_value for x in rho])
+        values = np.array([tier_a_bound(annulus, x).best_value for x in rho])
     else:
         values = np.array(
             [
-                tier_b_search(annulus, x, degree=degree, budget=budget, seed=seed, samples=samples).best_value
+                tier_b_search(annulus, x, degree=degree, budget=budget, seed=seed).best_value
                 for x in rho
             ]
         )

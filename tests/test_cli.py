@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, checks, objective
-from squeezing.cli import _env_samples, main
+from squeezing.cli import main
 from squeezing.errors import SqueezingError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -283,45 +283,24 @@ class TestCheck:
 
 
 class TestEnvironment:
-    def test_default_samples(self, monkeypatch):
-        monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
-        assert _env_samples() == 2048
+    def test_squeeze_samples_is_ignored(self):
+        search = ["search", "--annulus", "0.25", "--rho", "0.5", "--degree", "1", "--budget", "10", "--seed", "1"]
 
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("SQUEEZE_SAMPLES", "512")
-        assert _env_samples() == 512
-
-    def test_invalid_value_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQUEEZE_SAMPLES", "not-a-number")
-        code, _, err = run_cli(
-            capsys, "search", "--annulus", "0.25", "--rho", "0.5", "--degree", "0",
-            "--budget", "1",
-        )
-        assert code == 2
-        assert "SQUEEZE_SAMPLES" in err
-
-    def test_check_ignores_squeeze_samples(self):
-        def check(**environ):
-            return subprocess.run(
-                [sys.executable, "-m", "squeezing", "check", "--suite", "rouche"],
+        def run(argv, **environ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "squeezing", *argv],
                 capture_output=True,
                 env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **environ},
             )
+            return proc.returncode, proc.stdout
 
-        unset = check()
-        assert unset.returncode == 0
-        for value in ("100", "1024", "4096", "abc"):
-            proc = check(SQUEEZE_SAMPLES=value)
-            assert (proc.returncode, proc.stdout) == (0, unset.stdout), value
-
-    def test_search_accepts_samples_that_are_not_a_power_of_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQUEEZE_SAMPLES", "100")
-        code, out, _ = run_cli(
-            capsys, "search", "--annulus", "0.25", "--rho", "0.5", "--degree", "1",
-            "--budget", "10", "--seed", "1",
-        )
-        assert code == 0
-        assert json.loads(out)["witness"]["samples"] == 100
+        for argv in (search, ["check", "--suite", "rouche"]):
+            unset = run(argv)
+            assert unset[0] == 0
+            for value in ("512", "abc"):
+                assert run(argv, SQUEEZE_SAMPLES=value) == unset, (argv[0], value)
+            if argv is search:
+                assert json.loads(unset[1])["witness"]["samples"] == 2048
 
 
 def test_module_entry_point():

@@ -102,11 +102,19 @@ class TestExcisionConstant:
     def test_matches_brute_force_scan(self):
         # oracle: exhaustive scan with the raw formulas; the objective is
         # continuous and tends to 1 at r = v, so [u, v) suffices
-        value = excision_constant(0.2, 0.3, 0.6)
-        rs = np.linspace(0.2, 0.3, 10 ** 6, endpoint=False)
+        rng = np.random.default_rng(12)
+        triples = [(0.2, 0.3, 0.6), (math.nextafter(0.3, 0.0), 0.3, 0.6), (0.1, 0.5, 0.5005)]
+        for _ in range(17):
+            u, v, w = np.sort(rng.uniform(0.01, 0.99, 3))
+            triples.append((float(u), float(v), float(w)))
+        triples += [(math.nextafter(v, 0.0), v, w) for _, v, w in triples[-3:]]
+        triples += [(u, v, min(v + 5e-4, 0.999)) for u, v, _ in triples[-3:]]
         sigma = lambda x: np.log((1.0 + x) / (1.0 - x))
-        brute = np.tanh(0.5 * (sigma(rs / 0.3) - sigma(rs / 0.6))).min()
-        assert abs(value - brute) <= 1e-9
+        for u, v, w in triples:
+            rs = np.linspace(u, v, 10 ** 5, endpoint=False)
+            rs = rs[rs < v]  # when u = nextafter(v, 0) some nodes round up to v
+            brute = np.tanh(0.5 * (sigma(rs / v) - sigma(rs / w))).min()
+            assert abs(excision_constant(u, v, w) - brute) <= 1e-9, (u, v, w)
 
     def test_infimum_sits_at_left_endpoint(self):
         # the objective increases in r, so the infimum is the left endpoint value
@@ -181,6 +189,15 @@ class TestExcisedDomain:
         domain = krantz_domain()
         with pytest.raises(PointNotInDomain):
             excised_domain_lower_bound(domain, 0.5)
+
+    @pytest.mark.parametrize(
+        "point", [complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, complex(-math.inf, 0.0)]
+    )
+    def test_non_finite_point_rejected(self, point):
+        domain = krantz_domain()
+        assert not domain.contains(point)
+        with pytest.raises(PointNotInDomain):
+            excised_domain_lower_bound(domain, point)
 
     def test_overlapping_excisions_rejected(self):
         with pytest.raises(DomainValidationError):
