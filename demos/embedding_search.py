@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Improving annulus lower bounds by searching over certified embeddings.
 
-Tier A reproduces the closed-form bound from the two Mobius embeddings.
+Tier A is the closed-form bound of the better of the two Mobius embeddings.
 Tier B searches Laurent perturbations; every reported improvement first
 passes an injectivity certificate.  The gap to the conjectured closed form
 is reported per run: a positive gap means the search found an embedding

@@ -31,7 +31,6 @@ from .errors import (
 from .hyperbolic import (
     TOLERANCE,
     euclidean_radius,
-    hyperbolic_radius,
     kobayashi_distance,
 )
 
@@ -57,8 +56,12 @@ class Annulus:
         return rho if rho >= math.sqrt(self.r) else self.r / rho
 
 
-def _gap_value(rho: float, r: float) -> float:
-    return float(euclidean_radius(hyperbolic_radius(rho) - hyperbolic_radius(r)))
+def _gap_value(a: float, b: float) -> float:
+    """euclidean_radius(hyperbolic_radius(a) - hyperbolic_radius(b)) = (a - b)/(1 - ab),
+    the pseudo-hyperbolic distance, for 0 <= b < a < 1.  The denominator is
+    summed as (1 - a) + a(1 - b), which keeps full relative accuracy as a and
+    b approach 1, where 1 - ab cancels."""
+    return float((a - b) / ((1.0 - a) + a * (1.0 - b)))
 
 
 def annulus_lower_bound(annulus: Annulus, z) -> BoundCertificate:
@@ -97,7 +100,7 @@ def annulus_conjectured_value(annulus: Annulus, rho: float) -> BoundCertificate:
     by the reflection first.
     """
     r = annulus.r
-    if rho >= 1.0:
+    if not rho < 1.0:  # also rejects nan
         raise PointOutsideAnnulus(f"rho = {rho} is not below 1")
     if rho < math.sqrt(r):
         raise OutOfFundamentalRange(
@@ -113,9 +116,9 @@ def annulus_conjectured_value(annulus: Annulus, rho: float) -> BoundCertificate:
 
 def annulus_minimum_value(annulus: Annulus) -> float:
     """Value of the conjectured closed form at its minimum rho = sqrt(r):
-    tanh(log((1 + sqrt(r)) / sqrt(1 + r)))."""
+    (sqrt(r) - r)/(1 - r sqrt(r)) = sqrt(r)/(1 + sqrt(r) + r)."""
     root = math.sqrt(annulus.r)
-    return math.tanh(math.log((1.0 + root) / math.sqrt(1.0 + annulus.r)))
+    return root / (1.0 + root + annulus.r)
 
 
 def excision_constant(u: float, v: float, w: float) -> float:
@@ -125,13 +128,13 @@ def excision_constant(u: float, v: float, w: float) -> float:
     log((1 + x)/(1 - x)), the bracket has derivative
     2 [v/(v^2 - r^2) - w/(w^2 - r^2)] in r, which is positive because
     t -> t/(t^2 - r^2) decreases for t > r and v < w; euclidean_radius
-    increases, so the objective increases in r.  u/v rounds to at most
-    hyperbolic.MAX_RADIUS for every u < v, so no clamp is needed.  Positive for all
-    0 < u < v < w < 1.
+    increases, so the objective increases in r.  By ``_gap_value`` the value
+    at r = u is u(w - v)/(vw - u^2), summed from differences of the inputs.
+    Positive for all 0 < u < v < w < 1.
     """
     if not 0.0 < u < v < w < 1.0:
         raise ParameterOrderViolation("parameters must satisfy 0 < u < v < w < 1")
-    return euclidean_radius(hyperbolic_radius(u / v) - hyperbolic_radius(u / w))
+    return u * (w - v) / (v * (w - v) + (v - u) * (v + u))
 
 
 def mobius_circle_image(a, rho: float) -> tuple[complex, float]:

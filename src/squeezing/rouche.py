@@ -5,9 +5,10 @@ annulus bounded by two circles) is the contour integral of f'/f divided by
 2*pi*i, evaluated with the trapezoidal rule on equispaced samples, which is
 spectrally accurate for analytic integrands.  Dominance |g| < |f| on the
 contour forces f and f + g to enclose equally many zeros.  One kernel,
-``_argument_sums``, computes these sums for one target w at a time, one
-contour at a time, at two resolutions taken from one evaluation (the
-coarse sum reads the even-indexed nodes).
+``_quadrature``, computes this sum one contour at a time.  The boundary
+certificate of a Laurent map takes the same sum for f - w0 from the
+boundary curves it samples anyway, at two resolutions from one evaluation
+(the coarse sum reads the even-indexed nodes).
 
 Injectivity on an annulus is certified by a proof chosen by the input
 alone.  A disc automorphism (built by ``disc_automorphism``) is injective
@@ -195,34 +196,27 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
     return tuple(contours)
 
 
-def _argument_sums(f: SampledMap, contours: Sequence[CircleContour], w, n: int):
-    """Argument-principle sums of f - w over the oriented contours at n and
-    at the even-indexed n/2 samples per contour, and the margin min |f - w|.
+def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int):
+    """Argument-principle sum of f over the oriented contours at n samples per
+    contour; raises GuardViolation when min |f| over the samples is at most
+    GUARD_THRESHOLD (or NaN).
 
     The contours are evaluated one at a time, so only one contour's samples
     are alive at once.
     """
-    fine = coarse = 0j
+    total = 0j
     margin = np.inf
     for contour in contours:
         z, ring = _circle_nodes(contour, n)
-        shifted = np.broadcast_to(np.asarray(f.evaluator(z), dtype=complex), z.shape) - w
+        values = np.asarray(f.evaluator(z), dtype=complex)
         derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
         del z
         # np.minimum, not min: a NaN margin must survive to fail the guard
-        margin = np.minimum(margin, np.abs(shifted).min())
-        # f - w vanishing on the contour gives non-finite sums; the guard
-        # margin rejects them, so the arithmetic may proceed silently
+        margin = np.minimum(margin, np.abs(values).min())
+        # f vanishing on the contour gives a non-finite sum; the guard
+        # rejects it, so the arithmetic may proceed silently
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(derivatives, shifted, out=shifted)
-            shifted *= ring
-            fine += contour.orientation * shifted.mean()
-            coarse += contour.orientation * shifted[::2].mean()
-    return fine, coarse, margin
-
-
-def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int):
-    total, _, margin = _argument_sums(f, contours, 0.0, n)
+            total += contour.orientation * (derivatives / values * ring).mean()
     if not margin > GUARD_THRESHOLD:  # a NaN margin fails too
         raise GuardViolation(f"|f| = {margin:.3e} <= guard {GUARD_THRESHOLD:.1e} on the contours")
     return total
@@ -408,7 +402,7 @@ def _roots(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, samples: int):
+def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     """Boundary certificate of the Laurent map f = sum c_k z^k; see
     ``injectivity_certificate``."""
     m = len(c) // 2
@@ -436,8 +430,19 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
         return outcome("inconclusive", reason="critical points without a trusted count", critical=critical)
 
     n = 2 * samples
-    w0 = f.evaluator(math.sqrt(inner_radius))
-    fine, coarse, margin = _argument_sums(f, unit_annulus_contours(inner_radius), w0, n)
+    nodes = np.empty((2, n), dtype=complex)
+    tangents = np.empty((2, n), dtype=complex)  # dT/dtheta = i z f'(z)
+    for i, contour in enumerate(unit_annulus_contours(inner_radius)):
+        basis = laurent_basis(_circle_nodes(contour, n)[0], m)
+        nodes[i], tangents[i] = basis @ c, basis @ (1j * k * c)
+
+    # preimages of w0 = f(sqrt r): the winding number of the outer curve about
+    # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0))
+    w0 = laurent_basis(math.sqrt(inner_radius), m) @ c
+    margin = np.abs(nodes - w0).min()
+    with np.errstate(divide="ignore", invalid="ignore"):  # T = w0 at a node fails the margin
+        winding = tangents / (1j * (nodes - w0))
+    fine, coarse = (winding[0, ::stride].mean() - winding[1, ::stride].mean() for stride in (1, 2))
     count = _trusted_count(fine, coarse, margin)
     if count is not None and count >= 2:
         return outcome("refuted", margin, critical=critical)
@@ -446,18 +451,12 @@ def _boundary_certificate(c: np.ndarray, f: SampledMap, inner_radius: float, sam
         return outcome("inconclusive", margin, f"preimages of f(sqrt r): {count}", critical=critical)
 
     step = 2.0 * np.pi / n
-    ring = np.exp(1j * step * np.arange(n))
     radii = np.array([1.0, inner_radius])
     scale = np.abs(c) * radii[:, None] ** k  # |c_k| rho^k, one row per circle
     # T(theta) = f(rho e^{i theta}) and its derivatives are trigonometric
     # polynomials: |T''| <= sum k^2 |c_k| rho^k on the whole circle
     second = scale @ (k * k)
     tubes = step * step / 8.0 * second + _ROUNDING * scale.sum(axis=1)
-    nodes = np.empty((2, n), dtype=complex)
-    tangents = np.empty((2, n), dtype=complex)
-    for i, rho in enumerate(radii):
-        basis = laurent_basis(rho * ring, m)
-        nodes[i], tangents[i] = basis @ c, basis @ (1j * k * c)
     tube = float(tubes.max())
     speed = np.abs(tangents) - _ROUNDING * (scale @ np.abs(k))[:, None]
     if not np.all(speed - step * second[:, None] > 2.0 * step * second[:, None]):
@@ -501,12 +500,14 @@ def injectivity_certificate(
        half its distance to the boundary circles, and a count >= 1 refutes
        (f is k-to-1 near a critical point).  When no such count is >= 1 (a
        guard violation, an unsettled count) the map is inconclusive;
-    2. the preimages of w0 = f(sqrt r) are counted on 2*samples nodes per
-       circle (with the samples-node count from the even nodes); a trusted
-       count >= 2 refutes, and any other count but 1 is inconclusive.
+    2. both image curves T(theta) = f(rho e^{i theta}), rho = 1 and r, and
+       their tangents are sampled once, at 2*samples nodes with step h; the
+       preimages of w0 = f(sqrt r) are the winding number of the outer curve
+       about w0 less that of the inner one, summed over all nodes and again
+       over the even nodes.  A trusted count >= 2 refutes, and any other
+       count but 1 is inconclusive.
 
-    Then both image curves T(theta) = f(rho e^{i theta}), rho = 1 and r, are
-    sampled at 2*samples nodes with step h.  T is a trigonometric polynomial,
+    Then the same samples give the proof.  T is a trigonometric polynomial,
     so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc
     between nodes lies within the tube h^2 M / 8 of its chord (plus a
     rounding allowance).  The map is certified only when
@@ -539,7 +540,7 @@ def injectivity_certificate(
         return InjectivityCertificate("certified", math.inf)
     coefficients = f.laurent_coefficients
     if coefficients is not None:
-        return _boundary_certificate(coefficients, f, inner_radius, int(samples))
+        return _boundary_certificate(coefficients, inner_radius, int(samples))
     return InjectivityCertificate(
         "inconclusive", math.inf, "no certificate for this map: build it with laurent_map or disc_automorphism"
     )

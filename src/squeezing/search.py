@@ -7,27 +7,27 @@ objective below approximates that distance by the minimum Poincare distance
 from f(p) to dense samples of the two boundary-circle images, so it is a
 valid bound up to the quoted sampling resolution.
 
-Tier A evaluates the two Mobius embeddings (the inclusion recentred at the
-query point, and the reflection across the annulus); they reproduce the
-closed-form annulus lower bound.  Tier B perturbs Laurent coefficients
-around those seeds with a deterministic multi-start Nelder-Mead simplex
-search (the min-over-samples objective is nonsmooth, so derivative-free
-search is the right tool).  Search evaluations are advisory; a candidate is
-adopted only after its injectivity certificate passes, and only adopted
-candidates are ever reported.  Post-composition with a disc automorphism is
-value-neutral (the objective is Mobius invariant), so candidates are stored
-unnormalised and implicitly recentred at f(p).
+Tier A is the better of the two Mobius embeddings (the inclusion recentred
+at the query point, and the reflection across the annulus).  Their distance
+is the pseudo-hyperbolic one in closed form, so Tier A reads its value from
+``planar.annulus_lower_bound`` and samples nothing.  That value is also the
+conjectured squeezing value, reported next to every search result with its
+gap to the best found bound, which is never asserted to have a sign.
+
+Tier B perturbs Laurent coefficients around those seeds with a
+deterministic multi-start Nelder-Mead simplex search (the min-over-samples
+objective is nonsmooth, so derivative-free search is the right tool).
+Search evaluations are advisory; a candidate is adopted only after its
+injectivity certificate passes, and only adopted candidates are ever
+reported.  Post-composition with a disc automorphism is value-neutral (the
+objective is Mobius invariant), so candidates are stored unnormalised and
+implicitly recentred at f(p).
 
 The boundary curves of a degree-m Laurent map are trigonometric
 polynomials on fixed sample rings, so a search builds the power basis
 ``rouche.laurent_basis`` of each ring (the normalising scan, and the
 objective ring plus the query point) once per call; each evaluation is then
 one matrix-vector product of that basis with the coefficient vector.
-
-The conjectured closed form for the true squeezing value, computed by
-``planar.annulus_lower_bound``, is reported next to every search result;
-its gap to the best found bound is recorded but never asserted to have a
-sign.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .hyperbolic import MAX_RADIUS, euclidean_radius, hyperbolic_radius
 from .planar import Annulus, annulus_lower_bound
 from .rouche import InjectivityCertificate, injectivity_certificate, laurent_basis, laurent_map
 
-#: Default boundary samples per circle for objective evaluation; the final
-#: reported value is re-evaluated at twice this resolution.
+#: Default boundary samples per circle for objective evaluation; a Laurent
+#: winner's reported value is re-evaluated at twice this resolution.
 DEFAULT_SAMPLES = 2048
 
 #: Candidates must beat the certified incumbent by this much before the
@@ -203,23 +203,19 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     return _objective_value(candidate.coefficients, basis, strict=True)
 
 
-def tier_a_bound(annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> SearchResult:
-    """Best of the two Mobius embeddings; reproduces the closed-form bound."""
+def tier_a_bound(annulus: Annulus, p) -> SearchResult:
+    """Best of the two Mobius embeddings: ``annulus_lower_bound`` and its branch's family."""
     point = _check_point(annulus, p)
-    inclusion = EmbeddingCandidate.mobius_inclusion()
-    reflection = EmbeddingCandidate.mobius_reflection(annulus.r)
-    basis = _boundary(annulus, samples, 1, point)
-    value_inc = _objective_value(inclusion.coefficients, basis, strict=True)
-    value_ref = _objective_value(reflection.coefficients, basis, strict=True)
-    if value_inc >= value_ref:
-        best, value = inclusion, value_inc
+    bound = annulus_lower_bound(annulus, point)
+    if bound.witness["branch"] == "direct":
+        best = EmbeddingCandidate.mobius_inclusion()
     else:
-        best, value = reflection, value_ref
+        best = EmbeddingCandidate.mobius_reflection(annulus.r)
     return SearchResult(
-        best_value=value,
+        best_value=bound.value,
         best_candidate=best,
-        tier_a_value=value,
-        conjecture_value=annulus_lower_bound(annulus, point).value,
+        tier_a_value=bound.value,
+        conjecture_value=bound.value,
         evaluations=2,
         seed=0,
     )
@@ -289,11 +285,11 @@ def tier_b_search(
 
     Starts from the Laurent representations of the two Mobius embeddings
     (c_1 = 1 and c_{-1} = r) plus seeded random perturbations.  Raw
-    evaluations are advisory; a candidate must improve the certified
-    incumbent by CERTIFY_MARGIN and then pass the injectivity certificate
-    before it may be reported.  Degree 0 has no usable free family and
-    collapses to Tier A.  Exhausting the budget returns the best certified
-    result so far; identical inputs reproduce identical outputs.
+    evaluations are advisory; a candidate must beat the certified incumbent
+    (first Tier A) by CERTIFY_MARGIN and then pass the injectivity
+    certificate before it may be reported.  Degree 0 has no usable free
+    family and collapses to Tier A.  Exhausting the budget returns the best
+    certified result so far; identical inputs reproduce identical outputs.
     """
     point = _check_point(annulus, p)
     if not isinstance(degree, int) or not 0 <= degree <= _DEGREE_CAP:
@@ -303,8 +299,7 @@ def tier_b_search(
     if seed < 0:
         raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
 
-    final_samples = 2 * samples
-    tier_a = tier_a_bound(annulus, point, final_samples)
+    tier_a = tier_a_bound(annulus, point)
     if degree == 0:
         return replace(tier_a, seed=seed)
 
@@ -318,10 +313,7 @@ def tier_b_search(
     # built once here; every evaluation below is one matrix-vector product
     scan = _boundary(annulus, _SCAN, degree)
     ring = _boundary(annulus, samples, degree, point)
-    incumbent_value = max(
-        _objective_value(seed_inclusion, ring, False),
-        _objective_value(seed_reflection, ring, False),
-    )
+    incumbent_value = tier_a.best_value
     incumbent = None  # (coefficients, raw value, certificate); None -> Mobius fallback
     rejected_above = -np.inf
 
@@ -370,7 +362,7 @@ def tier_b_search(
     if incumbent is not None:
         coefficients, raw_value, certificate = incumbent
         try:
-            basis = _boundary(annulus, final_samples, degree, point)
+            basis = _boundary(annulus, 2 * samples, degree, point)
             final_value = _objective_value(coefficients, basis, strict=True)
         except ImageEscapesDisc:
             final_value = None

@@ -193,12 +193,17 @@ class TestSearch:
             assert 0.0 < witness["tube"] < 1e-3
             certificate = InjectivityCertificate("certified", witness["min_boundary_modulus"])
             candidate = EmbeddingCandidate.laurent(coefficients, certificate)
+            value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
+            assert value == record["best_value"]
         else:
             assert witness["grid_size"] is None and witness["min_boundary_modulus"] is None
             assert witness["tube"] is None and witness["critical_points"] is None
+            # a Mobius winner reports the closed form, which its sampled objective meets
+            _, bound, _ = run_cli(capsys, "bound", "--annulus", "0.25", "--rho", str(rho))
+            assert record["best_value"] == json.loads(bound)["value"]
             candidate = EmbeddingCandidate(family, 1, coefficients, "certified")
-        value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
-        assert value == record["best_value"]
+            value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
+            assert value == pytest.approx(record["best_value"], abs=1e-12)
 
 
 class TestTable:
@@ -314,6 +319,17 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["value"] == 1.0
 
 
+def test_degree_zero_search_at_subnormal_radius(capsys):
+    # degree 0 is the closed form, as for bound --annulus: no power of r is formed
+    code, out, _ = run_cli(
+        capsys, "search", "--annulus", "5e-324", "--rho", "0.5", "--degree", "0", "--budget", "1",
+    )
+    record = json.loads(out)
+    assert code == 0
+    assert record["best_value"] == record["tier_a_value"] == 0.5
+    assert record["tag"] == "lower" and record["method"] == "tier-b-mobius-inclusion"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -321,7 +337,8 @@ def test_module_entry_point():
         ("bound", "--punctured-ball", "1", "--punctures", "0", "--point", "1e-320"),
         # r^{-2} overflows on the inner circle: rejected before any evaluation
         ("search", "--annulus", "1e-300", "--rho", "0.5", "--budget", "5"),
-        ("search", "--annulus", "5e-324", "--rho", "0.5", "--degree", "0", "--budget", "1"),
+        # the Laurent search evaluates z^{-1}, which overflows at a subnormal r
+        ("search", "--annulus", "5e-324", "--rho", "0.5", "--degree", "1", "--budget", "1"),
         # options the mode does not read are named, not ignored
         ("exact", "--domain", "typeI:2,3", "--point", "nan"),
         ("bound", "--annulus", "0.25", "--rho", "0.5", "--point", "x"),

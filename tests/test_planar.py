@@ -19,7 +19,6 @@ from squeezing import (
     euclidean_radius,
     excised_domain_lower_bound,
     excision_constant,
-    hyperbolic_radius,
     kobayashi_distance,
     lipschitz_check,
     mobius_circle_image,
@@ -38,6 +37,12 @@ from squeezing.errors import (
 )
 
 QUARTER = Annulus(0.25)
+
+
+def rational_endpoint_value(u: float, v: float, w: float) -> Fraction:
+    """Exact oracle: the excision objective at r = u, (u/v - u/w)/(1 - u^2/(vw))."""
+    u, v, w = Fraction(u), Fraction(v), Fraction(w)
+    return u * (w - v) / (v * w - u * u)
 
 
 def rational_gap_value(rho: Fraction, r: Fraction) -> Fraction:
@@ -119,8 +124,8 @@ class TestExcisionConstant:
     def test_infimum_sits_at_left_endpoint(self):
         # the objective increases in r, so the infimum is the left endpoint value
         for u, v, w in [(0.1, 0.4, 0.7), (0.2, 0.3, 0.6), (0.05, 0.5, 0.9)]:
-            endpoint = euclidean_radius(hyperbolic_radius(u / v) - hyperbolic_radius(u / w))
-            assert excision_constant(u, v, w) == endpoint
+            endpoint = rational_endpoint_value(u, v, w)
+            assert abs(excision_constant(u, v, w) - endpoint) <= 4 * math.ulp(float(endpoint)), (u, v, w)
 
     def test_grid_observation_w_monotonicity(self):
         # a theorem: the objective at each r grows with w, since hyperbolic_radius(r/w)
@@ -130,8 +135,8 @@ class TestExcisionConstant:
 
     def test_interval_collapse(self):
         tight = excision_constant(0.299999, 0.3, 0.6)
-        endpoint = euclidean_radius(hyperbolic_radius(0.299999 / 0.3) - hyperbolic_radius(0.299999 / 0.6))
-        assert tight == endpoint
+        endpoint = rational_endpoint_value(0.299999, 0.3, 0.6)
+        assert abs(tight - endpoint) <= 4 * math.ulp(float(endpoint))
 
     def test_parameter_order_enforced(self):
         with pytest.raises(ParameterOrderViolation):

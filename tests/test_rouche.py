@@ -22,7 +22,7 @@ from squeezing import (
 from squeezing.checks import injective_corpus, noninjective_witnesses
 from squeezing import rouche
 from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
-from squeezing.rouche import _argument_sums, _curves_apart, _roots, _segment_distances
+from squeezing.rouche import _curves_apart, _roots, _segment_distances
 
 
 def monomial(k):
@@ -128,28 +128,19 @@ class TestZeroCount:
         assert coarse.residual < 1e-8
 
 
-class TestArgumentSums:
-    @pytest.mark.parametrize(
-        "coefficients, extra_targets",
-        [
-            ([0, 0, 1], []),  # injective
-            ([0, 0, 0, 0, 1], []),  # z^2: two preimages of every 0.25 < |w| < 1
-            ([0, 0, 1], [1.0, 0.5]),  # targets on the image of the theta = 0 nodes
-        ],
-    )
-    @pytest.mark.parametrize("n", [256, 1000])
-    def test_one_pass_matches_separate_resolutions(self, coefficients, extra_targets, n):
-        f = laurent_map(coefficients)
-        for w in (0.0, 0.3 + 0.2j, 0.75, -0.6j, 2.0):
-            coarse_ref, margin_lo = annulus_sums_at(f, 0.5, w, n)
-            fine_ref, margin_hi = annulus_sums_at(f, 0.5, w, 2 * n)
-            fine, coarse, margin = _argument_sums(f, unit_annulus_contours(0.5), w, 2 * n)
-            assert (fine, coarse) == (fine_ref, coarse_ref), w
-            assert margin == min(margin_lo, margin_hi) > 0.0, w
-        for w in extra_targets:
-            fine, coarse, margin = _argument_sums(f, unit_annulus_contours(0.5), w, 2 * n)
-            assert margin == 0.0
-            assert not np.isfinite(fine) and not np.isfinite(coarse)
+class TestPreimageCount:
+    @pytest.mark.parametrize("samples", [512, 1024, 2048])
+    def test_margin_and_count_match_a_separate_evaluation(self, samples):
+        # the certificate counts the preimages of f(sqrt r) from its curve samples
+        for name, f in injective_corpus(0.5):
+            if f.laurent_coefficients is None:
+                continue  # disc automorphisms are certified without sampling
+            w0 = f.evaluator(np.sqrt(0.5))
+            total, margin = annulus_sums_at(f, 0.5, w0, 2 * samples)
+            cert = injectivity_certificate(f, 0.5, samples=samples)
+            assert cert.status == "certified", name
+            assert cert.min_boundary_modulus == margin, name
+            assert np.rint(total.real) == 1 and abs(total - 1) < 1e-9, name
 
 
 class TestRoucheDominance:

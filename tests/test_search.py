@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,11 +87,27 @@ class TestTierA:
         result = tier_a_bound(QUARTER, 0.5)
         assert result.conjecture_value == pytest.approx(2.0 / 7.0, abs=1e-9)
 
+    def test_closed_form_at_complex_points(self):
+        # exact oracle: the larger pseudo-hyperbolic distance (a - b)/(1 - ab)
+        # of the inclusion and the reflection, in rational arithmetic at |p|
+        gap = lambda a, b: (a - b) / (1 - a * b)  # noqa: E731
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            annulus = Annulus(float(rng.uniform(0.05, 0.9)))
+            p = complex(rng.uniform(annulus.r, 1.0) * np.exp(2j * np.pi * rng.random()))
+            if not annulus.r < abs(p) < 1.0:
+                continue
+            result = tier_a_bound(annulus, p)
+            assert result.best_value == annulus_lower_bound(annulus, p).value, p
+            r, rho = Fraction(annulus.r), Fraction(abs(p))
+            exact = max(gap(rho, r), gap(r / rho, r))
+            assert result.best_value - exact <= 1e-15, p
+
 
 class TestTierB:
     def test_degree_zero_collapses_to_tier_a(self):
         collapsed = tier_b_search(QUARTER, 0.5, degree=0, budget=10, seed=0)
-        reference = tier_a_bound(QUARTER, 0.5, samples=2 * 2048)
+        reference = tier_a_bound(QUARTER, 0.5)
         assert collapsed.best_value == reference.best_value
         assert collapsed.conjecture_value == reference.conjecture_value
         assert collapsed.best_candidate.family == reference.best_candidate.family
@@ -136,9 +153,13 @@ class TestTierB:
         # r^{-2} overflows on the inner circle of this annulus
         with pytest.raises(DomainValidationError, match="annulus radius 1e-300"):
             tier_b_search(Annulus(1e-300), 0.5, degree=2, budget=10, seed=0)
-        # tier A evaluates the reflection r/z, whose z^{-1} overflows at a subnormal r
+        # a Laurent search evaluates z^{-1}, which overflows at a subnormal r
         with pytest.raises(DomainValidationError, match="annulus radius 5e-324"):
-            tier_b_search(Annulus(5e-324), 0.5, degree=0, budget=10, seed=0)
+            tier_b_search(Annulus(5e-324), 0.5, degree=1, budget=10, seed=0)
+        # degree 0 is tier A, the closed form, which needs no power of r
+        collapsed = tier_b_search(Annulus(5e-324), 0.5, degree=0, budget=10, seed=0)
+        assert collapsed.best_value == annulus_lower_bound(Annulus(5e-324), 0.5).value == 0.5
+        assert collapsed.best_candidate.family == "mobius-inclusion"
 
 
     def test_power_bases_are_built_once_per_search(self, monkeypatch):
@@ -156,8 +177,8 @@ class TestTierB:
             assert result.evaluations == budget
             assert result.best_candidate.family == "laurent"
             counts.append(len(built))
-        # tier A, the scan, the objective ring and the final re-evaluation
-        assert counts == [4, 4]
+        # the scan, the objective ring and the final re-evaluation; tier A samples nothing
+        assert counts == [3, 3]
 
 
     @pytest.mark.parametrize("degree, budget, seed", [(0, 10, 0), (1, 60, 1), (2, 120, 42)])
