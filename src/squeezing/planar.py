@@ -79,7 +79,8 @@ def annulus_lower_bound(annulus: Annulus, z) -> BoundCertificate:
     if not r < rho < 1.0:
         raise PointOutsideAnnulus(f"|z| = {rho} is not in ({r}, 1)")
     direct = _gap_value(rho, r)
-    reflected = _gap_value(r / rho, r)
+    # _gap_value(r / rho, r) multiplied through by rho, so no quotient is rounded
+    reflected = r * (1.0 - rho) / ((rho - r) + r * (1.0 - r))
     if direct >= reflected:
         value, branch, folded = direct, "direct", rho
     else:

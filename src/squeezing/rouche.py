@@ -14,12 +14,14 @@ Injectivity on an annulus is certified by a proof chosen by the input
 alone.  A disc automorphism (built by ``disc_automorphism``) is injective
 on the whole closed disc, so it is certified without sampling.  A Laurent
 map (one that carries its coefficients, as ``laurent_map`` builds it) is
-certified from its two boundary curves: no critical point in the annulus,
-and simple, disjoint image curves, each checked against bounds computed
-from the coefficients (see ``injectivity_certificate``); its cost depends
-on the sample count only.  Any other map is inconclusive.  "inconclusive"
-is an allowed terminal state, reported with the test that failed, and
-consumers must treat it as unusable, never as a certification.
+certified from its two boundary curves: no critical point in the annulus
+(located by ``np.roots``), and simple, disjoint image curves, each checked
+against bounds computed from the coefficients (see
+``injectivity_certificate``); its cost depends on the sample count only.
+One sampler, ``annulus_basis``, builds the power table of both boundary
+circles, here and in ``search``.  Any other map is inconclusive.
+"inconclusive" is an allowed terminal state, reported with the test that
+failed, and consumers must treat it as unusable, never as a certification.
 """
 
 from __future__ import annotations
@@ -131,6 +133,20 @@ def laurent_basis(z, degree: int) -> np.ndarray:
     vectors on fixed points build the table once and reuse it.
     """
     return np.asarray(z, dtype=complex)[..., None] ** np.arange(-degree, degree + 1)
+
+
+def annulus_basis(inner_radius: float, samples: int, degree: int, *extra) -> np.ndarray:
+    """``laurent_basis`` of equispaced samples of the unit circle, then of the
+    circle |z| = inner_radius, then of any ``extra`` points; raises
+    DomainValidationError when 1 / inner_radius**degree overflows."""
+    # z^{-degree} on the inner circle must stay finite, or every evaluation is NaN
+    if inner_radius ** degree == 0.0 or math.isinf(1.0 / inner_radius ** degree):
+        raise DomainValidationError(
+            f"annulus radius {inner_radius!r} is too small for degree {degree}: 1 / r**{degree} overflows"
+        )
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    ring = np.exp(1j * theta)
+    return laurent_basis(np.concatenate([ring, inner_radius * ring, extra]), degree)
 
 
 def laurent_map(coefficients) -> SampledMap:
@@ -384,22 +400,13 @@ _ROUNDING = 1e-12
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
-    """Approximate nonzero roots of sum_j p_j z^j by the Durand-Kerner
-    iteration: numpy arithmetic on a few points, where ``np.roots`` would
-    set up a LAPACK eigensolver.  A root that has not converged is only a
-    poor candidate; callers confirm each by a zero count."""
-    p = np.trim_zeros(p)  # zero roots and a vanishing leading coefficient drop out
-    degree = len(p) - 1
-    if degree < 1:
+    """Roots of sum_j p_j z^j, the eigenvalues of its companion matrix
+    (``np.roots``); none when that matrix is not finite.  A root is only a
+    candidate: callers confirm each by a zero count."""
+    try:
+        return np.roots(p[::-1])
+    except np.linalg.LinAlgError:  # a coefficient is inf or NaN, or a quotient overflows
         return np.zeros(0, dtype=complex)
-    monic = p[::-1] / p[-1]
-    # the roots lie within the Cauchy bound 1 + max |p_j / p_d|
-    z = (1.0 + np.abs(monic[1:]).max()) * (0.4 + 0.9j) ** np.arange(degree)
-    for _ in range(100):
-        gaps = z[:, None] - z[None, :]
-        np.fill_diagonal(gaps, 1.0)
-        z = z - np.polyval(monic, z) / gaps.prod(axis=1)
-    return z
 
 
 def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
@@ -430,11 +437,10 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
         return outcome("inconclusive", reason="critical points without a trusted count", critical=critical)
 
     n = 2 * samples
-    nodes = np.empty((2, n), dtype=complex)
-    tangents = np.empty((2, n), dtype=complex)  # dT/dtheta = i z f'(z)
-    for i, contour in enumerate(unit_annulus_contours(inner_radius)):
-        basis = laurent_basis(_circle_nodes(contour, n)[0], m)
-        nodes[i], tangents[i] = basis @ c, basis @ (1j * k * c)
+    basis = annulus_basis(inner_radius, n, m)
+    nodes = (basis @ c).reshape(2, n)
+    tangents = (basis @ (1j * k * c)).reshape(2, n)  # dT/dtheta = i z f'(z)
+    del basis
 
     # preimages of w0 = f(sqrt r): the winding number of the outer curve about
     # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0))
@@ -482,7 +488,8 @@ def injectivity_certificate(
     attribute.  ``target_grid`` is not read; it stays in the signature for
     the callers that pass it.  The proof is chosen by the input alone, a
     refutation rests only on trusted counts, and "inconclusive" names the
-    test that failed in ``reason``.
+    test that failed in ``reason``.  An r outside (0, 1) or ``samples`` below
+    1 raises DomainValidationError.
 
     **Disc automorphisms** (built by ``disc_automorphism``): certified
     without sampling, and ``min_boundary_modulus`` is inf.  For |a| < 1 the
@@ -494,14 +501,16 @@ def injectivity_certificate(
     **Laurent maps** (``f.laurent_coefficients`` is set): the boundary pass.
     Refutations first, cheapest first:
 
-    1. approximate roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m} locate the
+    1. the roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m}, found by
+       ``np.roots`` (none when a coefficient is not finite), locate the
        critical points; for each one inside the annulus,
        ``zero_count_detailed`` counts the zeros on the disc around it of
        half its distance to the boundary circles, and a count >= 1 refutes
        (f is k-to-1 near a critical point).  When no such count is >= 1 (a
        guard violation, an unsettled count) the map is inconclusive;
     2. both image curves T(theta) = f(rho e^{i theta}), rho = 1 and r, and
-       their tangents are sampled once, at 2*samples nodes with step h; the
+       their tangents are sampled once, at 2*samples nodes with step h, from
+       one ``annulus_basis`` (which rejects an r whose 1 / r**m overflows); the
        preimages of w0 = f(sqrt r) are the winding number of the outer curve
        about w0 less that of the inner one, summed over all nodes and again
        over the even nodes.  A trusted count >= 2 refutes, and any other
@@ -536,6 +545,8 @@ def injectivity_certificate(
     inner_radius = float(getattr(annulus, "r", annulus))
     if not 0.0 < inner_radius < 1.0:
         raise DomainValidationError("annulus inner radius must lie in (0, 1)")
+    if not samples >= 1:  # also rejects nan
+        raise DomainValidationError(f"samples must be a positive integer, got {samples!r}")
     if getattr(f.evaluator, "automorphism_parameter", None) is not None:
         return InjectivityCertificate("certified", math.inf)
     coefficients = f.laurent_coefficients

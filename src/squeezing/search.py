@@ -1,11 +1,13 @@
 """Lower bounds for annulus squeezing values by search over embeddings.
 
 Any univalent map f of the annulus into the unit disc yields the lower bound
-euclidean_radius(P(f(p), complement of image)): the hyperbolic disc around
-f(p) avoiding the image boundary can be recentred to a round disc.  The
-objective below approximates that distance by the minimum Poincare distance
-from f(p) to dense samples of the two boundary-circle images, so it is a
-valid bound up to the quoted sampling resolution.
+euclidean_radius(P(f(p), complement of image)), the pseudo-hyperbolic
+distance from f(p) to the image boundary: the hyperbolic disc around f(p)
+avoiding the image boundary can be recentred to a round disc.  The
+objective below approximates it by the minimum pseudo-hyperbolic distance
+|w - f(p)| / |1 - conj(w) f(p)| from f(p) to dense samples w of the two
+boundary-circle images, so it is a valid bound up to the quoted sampling
+resolution.
 
 Tier A is the better of the two Mobius embeddings (the inclusion recentred
 at the query point, and the reflection across the annulus).  Their distance
@@ -25,7 +27,7 @@ implicitly recentred at f(p).
 
 The boundary curves of a degree-m Laurent map are trigonometric
 polynomials on fixed sample rings, so a search builds the power basis
-``rouche.laurent_basis`` of each ring (the normalising scan, and the
+``rouche.annulus_basis`` of each ring (the normalising scan, and the
 objective ring plus the query point) once per call; each evaluation is then
 one matrix-vector product of that basis with the coefficient vector.
 """
@@ -44,9 +46,8 @@ from .errors import (
     NotCertified,
     PointOutsideAnnulus,
 )
-from .hyperbolic import MAX_RADIUS, euclidean_radius, hyperbolic_radius
 from .planar import Annulus, annulus_lower_bound
-from .rouche import InjectivityCertificate, injectivity_certificate, laurent_basis, laurent_map
+from .rouche import InjectivityCertificate, annulus_basis, injectivity_certificate, laurent_map
 
 #: Default boundary samples per circle for objective evaluation; a Laurent
 #: winner's reported value is re-evaluated at twice this resolution.
@@ -130,40 +131,20 @@ def _check_point(annulus: Annulus, p) -> complex:
     return point
 
 
-def _boundary(annulus: Annulus, samples: int, degree: int, *extra) -> np.ndarray:
-    """Laurent power basis of equispaced samples of the outer circle, then the
-    inner circle, then any ``extra`` points (the query point of an objective)."""
-    # z^{-degree} on the inner circle must stay finite, or every evaluation is NaN
-    if annulus.r ** degree == 0.0 or math.isinf(1.0 / annulus.r ** degree):
-        raise DomainValidationError(
-            f"annulus radius {annulus.r!r} is too small for degree {degree}: 1 / r**{degree} overflows"
-        )
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    ring = np.exp(1j * theta)
-    return laurent_basis(np.concatenate([ring, annulus.r * ring, extra]), degree)
-
-
 def _objective_value(coefficients: np.ndarray, basis: np.ndarray, strict: bool) -> float:
-    """Sampled objective on a ``_boundary`` basis whose last row is the query
+    """Sampled objective on an ``annulus_basis`` whose last row is the query
     point; with strict=False an escaping image yields a negative penalty
     instead of an exception (used inside the search)."""
     values = basis @ coefficients
     w, wp = values[:-1], values[-1]
-    moduli = np.abs(w)
-    escape = max(moduli.max() - 1.0, abs(wp) - (1.0 - 1e-15))
+    escape = max(np.abs(w).max() - 1.0, abs(wp) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
         if strict:
             raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
         return -1.0 - escape
-    # boundary samples at modulus 1 (automorphism images) are clamped just
-    # inside the disc; their distances are effectively infinite and never win
-    # the minimum.
-    hot = moduli > MAX_RADIUS
-    if np.any(hot):
-        w = np.where(hot, w * (MAX_RADIUS / np.where(hot, moduli, 1.0)), w)
-    pseudo = np.abs((wp - w) / (1.0 - np.conj(w) * wp))
-    pseudo = np.minimum(pseudo, MAX_RADIUS)
-    return float(euclidean_radius(hyperbolic_radius(pseudo).min()))
+    # |wp - w|^2 - |1 - conj(w) wp|^2 = (1 - |wp|^2)(|w|^2 - 1), so a sample
+    # on or beyond the unit circle lies at pseudo-distance >= 1 and never wins
+    return float(np.abs((wp - w) / (1.0 - np.conj(w) * wp)).min())
 
 
 def _normalized(coefficients: np.ndarray, scan: np.ndarray) -> np.ndarray | None:
@@ -171,12 +152,16 @@ def _normalized(coefficients: np.ndarray, scan: np.ndarray) -> np.ndarray | None
     inside the unit disc.
 
     Scalar multiples preserve univalence, so the search works on normalised
-    representatives and feasibility walls disappear.  The boundary curves are
-    trigonometric polynomials of the Laurent degree m, so the true maximum
-    modulus exceeds the sampled maximum by at most the Bernstein-type factor
-    1/sqrt(1 - (m h)^2 / 2) at angular step h; dividing by that inflated peak
-    keeps the rescaled image strictly inside the disc at every resolution.
-    ``scan`` is the ``_boundary`` basis at _SCAN samples per circle.
+    representatives and feasibility walls disappear.  A boundary curve T is a
+    trigonometric polynomial of the Laurent degree m, so |T|^2 is a
+    non-negative one of degree 2m; by Szego's inequality
+    |t'| <= 2m sqrt(M^2 - t^2) for such a t with maximum M, it stays
+    >= M cos(2m s) within s of its maximum.  Some node at angular step h
+    lies within h/2 of it, so
+    max |T| <= max_nodes |T| / sqrt(cos(m h)) <= max_nodes |T| / sqrt(1 - (m h)^2 / 2),
+    and dividing by that inflated peak keeps the rescaled image strictly
+    inside the disc at every resolution.
+    ``scan`` is the ``annulus_basis`` at _SCAN samples per circle.
     Degenerate (near-zero) vectors yield None.
     """
     degree = len(coefficients) // 2
@@ -191,15 +176,15 @@ def _normalized(coefficients: np.ndarray, scan: np.ndarray) -> np.ndarray | None
 def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> float:
     """Lower bound realised by a certified candidate at p.
 
-    euclidean_radius of the minimum Poincare distance from f(p) to the
-    sampled images of both boundary circles.  Raises NotCertified for
-    candidates without a passing certificate and ImageEscapesDisc when the
-    boundary image leaves the closed unit disc beyond tolerance.
+    The minimum pseudo-hyperbolic distance from f(p) to the sampled images
+    of both boundary circles.  Raises NotCertified for candidates without a
+    passing certificate and ImageEscapesDisc when the boundary image leaves
+    the closed unit disc beyond tolerance.
     """
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
     point = _check_point(annulus, p)
-    basis = _boundary(annulus, samples, len(candidate.coefficients) // 2, point)
+    basis = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point)
     return _objective_value(candidate.coefficients, basis, strict=True)
 
 
@@ -311,8 +296,8 @@ def tier_b_search(
 
     # the power bases of the normalising scan and of the objective ring are
     # built once here; every evaluation below is one matrix-vector product
-    scan = _boundary(annulus, _SCAN, degree)
-    ring = _boundary(annulus, samples, degree, point)
+    scan = annulus_basis(annulus.r, _SCAN, degree)
+    ring = annulus_basis(annulus.r, samples, degree, point)
     incumbent_value = tier_a.best_value
     incumbent = None  # (coefficients, raw value, certificate); None -> Mobius fallback
     rejected_above = -np.inf
@@ -362,7 +347,7 @@ def tier_b_search(
     if incumbent is not None:
         coefficients, raw_value, certificate = incumbent
         try:
-            basis = _boundary(annulus, 2 * samples, degree, point)
+            basis = annulus_basis(annulus.r, 2 * samples, degree, point)
             final_value = _objective_value(coefficients, basis, strict=True)
         except ImageEscapesDisc:
             final_value = None

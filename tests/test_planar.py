@@ -51,6 +51,12 @@ def rational_gap_value(rho: Fraction, r: Fraction) -> Fraction:
     return (ratio - 1) / (ratio + 1)
 
 
+def rational_lower_bound(r: float, rho: float) -> Fraction:
+    """Exact oracle: the larger of the direct and reflected branches."""
+    r, rho = Fraction(r), Fraction(rho)
+    return max(rational_gap_value(rho, r), rational_gap_value(r / rho, r))
+
+
 class TestAnnulusLowerBound:
     def test_golden_value(self):
         expected = rational_gap_value(Fraction(1, 2), Fraction(1, 4))
@@ -74,6 +80,26 @@ class TestAnnulusLowerBound:
     def test_accepts_complex_points(self):
         z = 0.5 * np.exp(1j * 1.3)
         assert annulus_lower_bound(QUARTER, z).value == pytest.approx(2.0 / 7.0, abs=TOLERANCE)
+
+    def test_reflected_branch_near_one_stays_below_the_exact_bound(self):
+        # the rounding of r / rho, amplified near 1, once put this 9.7e-9 above
+        r, rho = 0.9999999852393279, 0.999999992437333
+        certificate = annulus_lower_bound(Annulus(r), rho)
+        assert certificate.witness["branch"] == "reflected"
+        assert certificate.witness["folded_rho"] == r / rho
+        assert Fraction(certificate.value) <= rational_lower_bound(r, rho)
+        assert certificate.value == 0.34440448936322726
+
+    def test_within_four_ulps_near_one(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            r = 1.0 - 10.0 ** rng.uniform(-15.0, -0.3)
+            rho = r + (1.0 - r) * rng.uniform()
+            if not r < rho < 1.0:
+                continue
+            exact = rational_lower_bound(r, rho)
+            value = annulus_lower_bound(Annulus(r), rho).value
+            assert abs(Fraction(value) - exact) <= 4 * math.ulp(float(exact)), (r, rho)
 
     @given(st.floats(min_value=0.2500001, max_value=0.9999))
     @settings(max_examples=200)

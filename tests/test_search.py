@@ -11,7 +11,6 @@ from squeezing import (
     annulus_lower_bound,
     annulus_minimum_value,
     injectivity_certificate,
-    laurent_basis,
     laurent_map,
     monotonicity_scan,
     objective,
@@ -19,6 +18,7 @@ from squeezing import (
     tier_b_search,
 )
 from squeezing import search
+from squeezing.rouche import annulus_basis
 from squeezing.errors import (
     DomainValidationError,
     ImageEscapesDisc,
@@ -165,11 +165,11 @@ class TestTierB:
     def test_power_bases_are_built_once_per_search(self, monkeypatch):
         built = []
 
-        def counting(z, degree):
-            built.append(np.size(z))
-            return laurent_basis(z, degree)
+        def counting(*args):
+            built.append(args)
+            return annulus_basis(*args)
 
-        monkeypatch.setattr(search, "laurent_basis", counting)
+        monkeypatch.setattr(search, "annulus_basis", counting)
         counts = []
         for budget in (20, 200):
             built.clear()
