@@ -32,6 +32,6 @@ for degree, budget, seed in ((1, 120, 0), (2, 500, 42)):
         print(f"  coefficients    [{coefficients}]")
     print()
 
-report = monotonicity_scan(annulus, grid=64, tier="A")
+report = monotonicity_scan(annulus, grid=64)
 print(f"tier A radial scan over [sqrt(r), 1), 64 points: {report.inversions} inversions")
 print(f"  values run from {report.values[0]:.6f} at sqrt(r) to {report.values[-1]:.6f} near 1")

@@ -495,7 +495,7 @@ def suite_search():
     )
     results.append(_result("search", "determinism", ok))
 
-    report = search.monotonicity_scan(annulus, grid=32, tier="A")
+    report = search.monotonicity_scan(annulus, grid=32)
     results.append(_result("search", "tier-a-monotone", report.inversions == 0, f"{report.inversions} inversions"))
     return results
 

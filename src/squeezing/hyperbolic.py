@@ -10,6 +10,11 @@ array-wide checks; both paths apply the same ufunc (``np.log1p``, ``np.tanh``)
 and so give the same bits, which ``math.log1p`` and ``math.tanh`` do not on
 some inputs.  The complex functions stay on array arithmetic, because numpy's
 complex-scalar division does not round like its array loop.
+
+The disc and the ball check their points in one place each for the whole
+package, ``_disc_points`` and ``_ball_point`` (the annulus in
+``planar.Annulus.point``); both test ``not ... < 1``, so a NaN or infinite
+point raises ``DomainValidationError``.
 """
 
 from __future__ import annotations
@@ -40,11 +45,11 @@ def hyperbolic_radius(r):
     to MAX_RADIUS stay finite and small radii keep full relative accuracy.
     """
     if isinstance(r, float):
-        if r < 0.0 or r >= 1.0:
+        if not 0.0 <= r < 1.0:  # also rejects nan
             raise DomainValidationError("Euclidean radius must lie in [0, 1)")
         return float(np.log1p(2.0 * r / (1.0 - r)))
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):
         raise DomainValidationError("Euclidean radius must lie in [0, 1)")
     return _as_scalar_or_array(r, np.log1p(2.0 * arr / (1.0 - arr)))
 
@@ -72,16 +77,22 @@ def bounded_metric(distance):
     return euclidean_radius(distance)
 
 
+def _disc_points(what, *points):
+    """The points as complex arrays; raises unless every |z| < 1 (NaN fails)."""
+    arrays = [np.asarray(z, dtype=complex) for z in points]
+    for arr in arrays:
+        if not np.all(np.abs(arr) < 1.0):
+            raise DomainValidationError(f"{what} must lie in the open unit disc")
+    return arrays
+
+
 def mobius_map(a, z):
     """Disc automorphism (z - a)/(1 - conj(a) z); sends a to 0.
 
     Its inverse is ``mobius_map(-a, .)`` up to no rotation:
     (w + a)/(1 + conj(a) w).
     """
-    a_arr = np.asarray(a, dtype=complex)
-    z_arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(a_arr) >= 1.0) or np.any(np.abs(z_arr) >= 1.0):
-        raise DomainValidationError("Mobius map arguments must lie inside the unit disc")
+    a_arr, z_arr = _disc_points("Mobius map arguments", a, z)
     out = (z_arr - a_arr) / (1.0 - np.conj(a_arr) * z_arr)
     if np.ndim(a) == 0 and np.ndim(z) == 0:
         return complex(out)
@@ -94,10 +105,7 @@ def poincare_distance(a, b):
     Equals ``hyperbolic_radius(|mobius_map(b, a)|)``; symmetric, zero exactly
     when a == b, and invariant under simultaneous disc automorphisms.
     """
-    a_arr = np.asarray(a, dtype=complex)
-    b_arr = np.asarray(b, dtype=complex)
-    if np.any(np.abs(a_arr) >= 1.0) or np.any(np.abs(b_arr) >= 1.0):
-        raise DomainValidationError("disc points must satisfy |z| < 1")
+    a_arr, b_arr = _disc_points("disc points", a, b)
     m = np.abs((a_arr - b_arr) / (1.0 - np.conj(b_arr) * a_arr))
     # rounding guard: the pseudo-hyperbolic modulus is < 1 in exact arithmetic
     m = np.minimum(m, MAX_RADIUS)
@@ -106,14 +114,17 @@ def poincare_distance(a, b):
     return hyperbolic_radius(m)
 
 
-def _ball_point(z):
+def _ball_point(z, dimension=None, what="ball point"):
+    """The point as a 1-D complex vector (of ``dimension`` entries, when given)
+    or ShapeMismatch; DomainValidationError unless ||z|| < 1 (NaN fails)."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if arr.ndim != 1:
-        raise ShapeMismatch("ball points are one-dimensional complex vectors")
-    with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
-        outside = np.linalg.norm(arr) >= 1.0
-    if outside:
-        raise DomainValidationError("ball points must satisfy ||z|| < 1")
+    if arr.ndim != 1 or (dimension is not None and arr.shape != (dimension,)):
+        size = "" if dimension is None else f"{dimension}-"
+        raise ShapeMismatch(f"{what} must be a complex {size}vector, got shape {arr.shape}")
+    with np.errstate(over="ignore"):  # a norm that overflows to inf is outside
+        inside = np.linalg.norm(arr) < 1.0
+    if not inside:
+        raise DomainValidationError(f"{what} must lie in the open unit ball")
     return arr
 
 
@@ -126,9 +137,7 @@ def ball_mobius(a, z):
     (a - z)/(1 - conj(a) z).
     """
     a_vec = _ball_point(a)
-    z_vec = _ball_point(z)
-    if a_vec.shape != z_vec.shape:
-        raise ShapeMismatch("ball points must share one dimension")
+    z_vec = _ball_point(z, a_vec.shape[0])
     norm_a_sq = np.vdot(a_vec, a_vec).real
     if norm_a_sq == 0.0:
         return -z_vec

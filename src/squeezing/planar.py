@@ -26,10 +26,11 @@ from .errors import (
     PointNotInDomain,
     PointOutsideAnnulus,
     PunctureEvaluation,
-    ShapeMismatch,
 )
 from .hyperbolic import (
     TOLERANCE,
+    _ball_point,
+    _disc_points,
     euclidean_radius,
     kobayashi_distance,
 )
@@ -46,6 +47,13 @@ class Annulus:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise DomainValidationError("annulus inner radius must lie in (0, 1)")
+
+    def point(self, z) -> complex:
+        """``z`` as a complex number; raises PointOutsideAnnulus unless r < |z| < 1."""
+        point = complex(z)
+        if not self.r < abs(point) < 1.0:  # also rejects nan
+            raise PointOutsideAnnulus(f"|z| = {abs(point)} is not in ({self.r}, 1)")
+        return point
 
     def boundary_distance(self, z) -> float:
         rho = abs(complex(z))
@@ -74,10 +82,8 @@ def annulus_lower_bound(annulus: Annulus, z) -> BoundCertificate:
     the second branch; the larger branch wins and tends to 1 toward either
     boundary circle.
     """
-    rho = abs(complex(z))
+    rho = abs(annulus.point(z))
     r = annulus.r
-    if not r < rho < 1.0:
-        raise PointOutsideAnnulus(f"|z| = {rho} is not in ({r}, 1)")
     direct = _gap_value(rho, r)
     # _gap_value(r / rho, r) multiplied through by rho, so no quotient is rounded
     reflected = r * (1.0 - rho) / ((rho - r) + r * (1.0 - r))
@@ -145,9 +151,7 @@ def mobius_circle_image(a, rho: float) -> tuple[complex, float]:
     centre = a (rho^2 - 1) / (1 - rho^2 |a|^2),
     radius = rho (1 - |a|^2) / (1 - rho^2 |a|^2).
     """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DomainValidationError("Mobius parameter must lie inside the unit disc")
+    a = complex(_disc_points("Mobius parameter", a)[0])
     if not 0.0 < rho < 1.0:
         raise DomainValidationError("circle radius must lie in (0, 1)")
     denom = 1.0 - rho * rho * abs(a) ** 2
@@ -201,8 +205,7 @@ class ExcisedDomain:
                 raise DomainValidationError(
                     f"excision radius {exc.radius} must lie in (u, v) = ({self.u}, {self.v})"
                 )
-            if not abs(complex(exc.center_param)) < 1.0:  # also rejects nan
-                raise DomainValidationError("excision parameter must lie inside the unit disc")
+            _disc_points("excision parameter", exc.center_param)
         discs = [exc.circle_image(self.w) for exc in self.excisions]
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
@@ -268,18 +271,7 @@ class PuncturedBall:
             raise DomainValidationError("dimension must be at least 1")
         if not self.punctures:
             raise EmptyList("at least one puncture is required")
-        cleaned = []
-        for p in self.punctures:
-            vec = np.atleast_1d(np.asarray(p, dtype=complex))
-            if vec.shape != (self.dimension,):
-                raise ShapeMismatch(
-                    f"puncture must be a complex {self.dimension}-vector, got shape {vec.shape}"
-                )
-            with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
-                outside = np.linalg.norm(vec) >= 1.0
-            if outside:
-                raise DomainValidationError("punctures must lie strictly inside the ball")
-            cleaned.append(vec)
+        cleaned = [_ball_point(p, self.dimension, "puncture") for p in self.punctures]
         for i in range(len(cleaned)):
             for j in range(i + 1, len(cleaned)):
                 if np.array_equal(cleaned[i], cleaned[j]):
@@ -294,15 +286,7 @@ def punctured_domain_upper_bound(domain: PuncturedBall, z) -> BoundCertificate:
     here, and the bound vanishes as z approaches a puncture.  With a single
     puncture at the origin it collapses to ||z||, the exact value.
     """
-    vec = np.atleast_1d(np.asarray(z, dtype=complex))
-    if vec.shape != (domain.dimension,):
-        raise ShapeMismatch(
-            f"point must be a complex {domain.dimension}-vector, got shape {vec.shape}"
-        )
-    with np.errstate(over="ignore"):  # a norm that overflows to inf is >= 1
-        outside = np.linalg.norm(vec) >= 1.0
-    if outside:
-        raise DomainValidationError("point must lie inside the unit ball")
+    vec = _ball_point(z, domain.dimension, "point")
     for p in domain.punctures:
         if np.array_equal(vec, p):
             raise PunctureEvaluation("the squeezing value is undefined at a puncture")
@@ -335,7 +319,7 @@ def caratheodory_lower_estimate(z, squeezing_lower: float, annulus: Annulus | No
     if not 0.0 < squeezing_lower <= 1.0:
         raise DomainValidationError("squeezing lower bound must lie in (0, 1]")
     delta = boundary_distance(z, annulus)
-    if delta <= 0.0:
+    if not delta > 0.0:  # also rejects nan
         raise BoundaryPoint("boundary distance vanishes; the estimate diverges")
     return squeezing_lower / (4.0 * delta)
 

@@ -33,6 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainValidationError, GuardViolation, NonIntegerResidual
+from .hyperbolic import _disc_points
+from .planar import Annulus
 
 #: Minimum allowed |f| (or |f - w|) at contour samples before a count is trusted.
 GUARD_THRESHOLD = 1e-9
@@ -61,7 +63,7 @@ class CircleContour:
     samples: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # also rejects nan
             raise DomainValidationError("contour radius must be positive")
         if self.orientation not in (1, -1):
             raise DomainValidationError("orientation must be +1 or -1")
@@ -175,9 +177,7 @@ def disc_automorphism(a) -> SampledMap:
     ``hyperbolic.mobius_map`` it also evaluates on and beyond |z| = 1, where
     contours lie.
     """
-    a = complex(a)
-    if not abs(a) < 1.0:
-        raise DomainValidationError("automorphism parameter must lie in the open unit disc")
+    a = complex(_disc_points("automorphism parameter", a)[0])
     conjugate = a.conjugate()
 
     def f(z):
@@ -192,11 +192,9 @@ def disc_automorphism(a) -> SampledMap:
 
 def unit_annulus_contours(inner_radius: float, samples: int = 64):
     """Oriented boundary of {inner_radius < |z| < 1}: outer ccw, inner cw."""
-    if not 0.0 < inner_radius < 1.0:
-        raise DomainValidationError("inner radius must lie in (0, 1)")
     return (
         CircleContour(0j, 1.0, 1, samples),
-        CircleContour(0j, float(inner_radius), -1, samples),
+        CircleContour(0j, Annulus(float(inner_radius)).r, -1, samples),
     )
 
 
@@ -542,9 +540,7 @@ def injectivity_certificate(
 
     **Other maps** are inconclusive: no proof applies to a bare evaluator.
     """
-    inner_radius = float(getattr(annulus, "r", annulus))
-    if not 0.0 < inner_radius < 1.0:
-        raise DomainValidationError("annulus inner radius must lie in (0, 1)")
+    inner_radius = Annulus(float(getattr(annulus, "r", annulus))).r
     if not samples >= 1:  # also rejects nan
         raise DomainValidationError(f"samples must be a positive integer, got {samples!r}")
     if getattr(f.evaluator, "automorphism_parameter", None) is not None:

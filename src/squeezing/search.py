@@ -40,12 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainValidationError,
-    ImageEscapesDisc,
-    NotCertified,
-    PointOutsideAnnulus,
-)
+from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
 from .planar import Annulus, annulus_lower_bound
 from .rouche import InjectivityCertificate, annulus_basis, injectivity_certificate, laurent_map
 
@@ -124,13 +119,6 @@ class SearchResult:
         return self.best_value - self.conjecture_value
 
 
-def _check_point(annulus: Annulus, p) -> complex:
-    point = complex(p)
-    if not annulus.r < abs(point) < 1.0:
-        raise PointOutsideAnnulus(f"|p| = {abs(point)} is not in ({annulus.r}, 1)")
-    return point
-
-
 def _objective_value(coefficients: np.ndarray, basis: np.ndarray, strict: bool) -> float:
     """Sampled objective on an ``annulus_basis`` whose last row is the query
     point; with strict=False an escaping image yields a negative penalty
@@ -183,15 +171,14 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     """
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
-    point = _check_point(annulus, p)
+    point = annulus.point(p)
     basis = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point)
     return _objective_value(candidate.coefficients, basis, strict=True)
 
 
 def tier_a_bound(annulus: Annulus, p) -> SearchResult:
     """Best of the two Mobius embeddings: ``annulus_lower_bound`` and its branch's family."""
-    point = _check_point(annulus, p)
-    bound = annulus_lower_bound(annulus, point)
+    bound = annulus_lower_bound(annulus, p)
     if bound.witness["branch"] == "direct":
         best = EmbeddingCandidate.mobius_inclusion()
     else:
@@ -276,7 +263,7 @@ def tier_b_search(
     family and collapses to Tier A.  Exhausting the budget returns the best
     certified result so far; identical inputs reproduce identical outputs.
     """
-    point = _check_point(annulus, p)
+    point = annulus.point(p)
     if not isinstance(degree, int) or not 0 <= degree <= _DEGREE_CAP:
         raise DomainValidationError(f"degree must be an integer in [0, {_DEGREE_CAP}]")
     if budget < 1:
@@ -374,41 +361,22 @@ def tier_b_search(
 
 @dataclass(frozen=True, eq=False)
 class MonotonicityReport:
-    tier: str
     rho: np.ndarray
     values: np.ndarray
     inversions: int
 
 
-def monotonicity_scan(
-    annulus: Annulus,
-    grid: int = 256,
-    tier: str = "A",
-    degree: int = 2,
-    budget: int = 120,
-    seed: int = 0,
-) -> MonotonicityReport:
-    """Evaluate the chosen tier's bound on a radial grid over [sqrt(r), 1)
-    and count adjacent decreases.
+def monotonicity_scan(annulus: Annulus, grid: int = 256) -> MonotonicityReport:
+    """Evaluate the Tier A bound on a radial grid over [sqrt(r), 1) and count
+    adjacent decreases.
 
     Tier A tracks the closed-form bound, which is strictly increasing, so its
-    inversion count must be 0.  Tier B counts are reported, not asserted:
-    budget-limited searches are noisy.
+    inversion count must be 0.
     """
     if grid < 8:
         raise DomainValidationError("grid must be at least 8")
-    if tier not in ("A", "B"):
-        raise DomainValidationError("tier must be 'A' or 'B'")
     root = math.sqrt(annulus.r)
     rho = root + (1.0 - root) * np.arange(grid) / grid
-    if tier == "A":
-        values = np.array([tier_a_bound(annulus, x).best_value for x in rho])
-    else:
-        values = np.array(
-            [
-                tier_b_search(annulus, x, degree=degree, budget=budget, seed=seed).best_value
-                for x in rho
-            ]
-        )
+    values = np.array([tier_a_bound(annulus, x).best_value for x in rho])
     inversions = int(np.sum(values[1:] < values[:-1]))
-    return MonotonicityReport(tier, rho, values, inversions)
+    return MonotonicityReport(rho, values, inversions)

@@ -22,6 +22,7 @@ from .errors import (
     PunctureEvaluation,
     ShapeMismatch,
 )
+from .hyperbolic import _ball_point
 
 KINDS = ("I", "II", "III", "IV")
 
@@ -103,15 +104,17 @@ class ClassicalDomain:
 
 
 def _positive_definite(hermitian: np.ndarray) -> bool:
-    """LAPACK Cholesky factorisation; it fails at the first pivot <= 0 or NaN.
+    """LAPACK Cholesky factorisation; it fails at the first pivot <= 0.
 
-    Exact boundary ties are decided by rounding (see ``contains``).
+    numpy's factorisation of a NaN or infinite matrix does not fail, but its
+    last pivot is then NaN, so that pivot must be positive.  Exact boundary
+    ties are decided by rounding (see ``contains``).
     """
     try:
-        np.linalg.cholesky(hermitian)
+        factor = np.linalg.cholesky(hermitian)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(factor[-1, -1].real > 0.0)
 
 
 def _matrix_point(domain: ClassicalDomain, point) -> np.ndarray:
@@ -188,15 +191,10 @@ def product_constant(domains: Sequence[ClassicalDomain]) -> BoundCertificate:
 
 def punctured_ball_squeezing(z, dimension: int | None = None) -> BoundCertificate:
     """Exact squeezing value ||z|| of the punctured unit ball at z != 0."""
-    vec = np.atleast_1d(np.asarray(z, dtype=complex))
-    if dimension is not None and vec.shape != (dimension,):
-        raise ShapeMismatch(f"expected a complex {dimension}-vector, got shape {vec.shape}")
-    with np.errstate(over="ignore"):  # a norm that overflows to inf is rejected below
-        norm = float(np.linalg.norm(vec))
+    vec = _ball_point(z, dimension, "point")
+    norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise PunctureEvaluation("the puncture itself is not a point of the domain")
-    if norm >= 1.0:
-        raise DomainValidationError("point must lie inside the unit ball")
     return BoundCertificate(
         value=norm,
         tag="exact",

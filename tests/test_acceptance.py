@@ -110,7 +110,7 @@ def test_criterion_04_boundary_behavior():
 def test_criterion_05_monotonicity_scan():
     with _Criterion(5, "tier-A radial scans have no inversions", 5.0):
         for r in (0.1, 0.25, 0.4, 0.6, 0.81):
-            report = monotonicity_scan(Annulus(r), grid=256, tier="A")
+            report = monotonicity_scan(Annulus(r), grid=256)
             assert report.inversions == 0
 
 

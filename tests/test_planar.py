@@ -300,6 +300,11 @@ class TestCaratheodoryEstimate:
         with pytest.raises(BoundaryPoint):
             caratheodory_lower_estimate(1.0 + 0j, 0.5)
 
+    @pytest.mark.parametrize("annulus", [None, QUARTER])
+    def test_nan_point_rejected(self, annulus):
+        with pytest.raises(BoundaryPoint):
+            caratheodory_lower_estimate(math.nan, 0.5, annulus)
+
     def test_invalid_lower_bound_rejected(self):
         with pytest.raises(DomainValidationError):
             caratheodory_lower_estimate(0.0, 0.0)

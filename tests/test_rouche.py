@@ -56,6 +56,10 @@ class TestContourValidation:
         with pytest.raises(DomainValidationError):
             CircleContour(radius=0.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(DomainValidationError):
+            CircleContour(radius=float("nan"))
+
     def test_orientation(self):
         with pytest.raises(DomainValidationError):
             CircleContour(orientation=2)

@@ -56,7 +56,7 @@ class TestObjective:
             objective(candidate, Annulus(0.5), 0.7)
 
     def test_escaping_image_rejected(self):
-        stamped = InjectivityCertificate("certified", 0, float("inf"))
+        stamped = InjectivityCertificate(status="certified", min_boundary_modulus=float("inf"))
         candidate = EmbeddingCandidate.laurent(np.array([0, 0, 1.2], dtype=complex), stamped)
         with pytest.raises(ImageEscapesDisc):
             objective(candidate, QUARTER, 0.5)
@@ -200,16 +200,11 @@ class TestTierB:
 
 class TestMonotonicityScan:
     def test_endpoints(self):
-        report = monotonicity_scan(QUARTER, grid=64, tier="A")
+        report = monotonicity_scan(QUARTER, grid=64)
         assert report.rho[0] == pytest.approx(math.sqrt(QUARTER.r), abs=0)
         assert report.values[0] == pytest.approx(annulus_minimum_value(QUARTER), abs=1e-9)
         assert report.values[-1] > report.values[0]
 
-    def test_tier_b_reports_only(self):
-        report = monotonicity_scan(QUARTER, grid=8, tier="B", degree=1, budget=30, seed=0)
-        assert report.inversions >= 0
-        assert len(report.values) == 8
-
     def test_grid_floor(self):
         with pytest.raises(DomainValidationError):
-            monotonicity_scan(QUARTER, grid=4, tier="A")
+            monotonicity_scan(QUARTER, grid=4)

@@ -96,6 +96,31 @@ class TestMembership:
         with pytest.raises(ShapeMismatch):
             contains(ClassicalDomain.type_iv(3), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "params, point",
+        [
+            ((1, 1), [[np.nan]]),
+            ((1, 1), [[np.inf]]),
+            ((1, 2), [[np.nan, 0.0]]),
+            ((2, 2), [[0.5, 0.0], [0.0, np.nan]]),
+        ],
+    )
+    def test_non_finite_type_i_point_outside(self, params, point):
+        # an infinite entry makes the product Z Z^H warn (inf * 0); the answer is what counts
+        with np.errstate(invalid="ignore"):
+            assert not contains(ClassicalDomain.type_i(*params), point)
+
+    def test_non_finite_type_i_sweep(self):
+        rng = np.random.default_rng(15)
+        bad = (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf))
+        for _ in range(2000):
+            r = int(rng.integers(1, 5))
+            s = int(rng.integers(r, 6))
+            z = (rng.uniform(-0.4, 0.4, (r, s)) + 0j) / np.sqrt(s)
+            z.flat[rng.integers(z.size)] = bad[rng.integers(len(bad))]
+            with np.errstate(invalid="ignore"):
+                assert not contains(ClassicalDomain.type_i(r, s), z)
+
     def test_scaling_monotonicity(self):
         rng = np.random.default_rng(14)
         domain = ClassicalDomain.type_ii(2)
@@ -158,3 +183,7 @@ class TestPuncturedBall:
     def test_outside_rejected(self):
         with pytest.raises(DomainValidationError):
             punctured_ball_squeezing(np.array([1.2, 0.0]))
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            punctured_ball_squeezing(np.full((2, 2), 0.25))
