@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -413,7 +414,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # as a SIGPIPE death would: no traceback, and stdout to devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

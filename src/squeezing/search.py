@@ -26,10 +26,12 @@ objective is Mobius invariant), so candidates are stored unnormalised and
 implicitly recentred at f(p).
 
 The boundary curves of a degree-m Laurent map are trigonometric
-polynomials on fixed sample rings, so a search builds the power basis
-``rouche.annulus_basis`` of each ring (the normalising scan, and the
-objective ring plus the query point) once per call; each evaluation is then
-one matrix-vector product of that basis with the coefficient vector.
+polynomials, so a search builds one power basis ``rouche.annulus_basis``
+per call, on 2 * samples nodes per circle plus the query point.  Those are
+the nodes the injectivity certificate samples and the resolution of the
+reported value, so the search, the certificate and the reported value share
+them; each evaluation is one matrix-vector product of that basis with the
+coefficient vector.
 """
 
 from __future__ import annotations
@@ -44,16 +46,13 @@ from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
 from .planar import Annulus, annulus_lower_bound
 from .rouche import InjectivityCertificate, annulus_basis, injectivity_certificate, laurent_map
 
-#: Default boundary samples per circle for objective evaluation; a Laurent
-#: winner's reported value is re-evaluated at twice this resolution.
+#: Default ``samples`` of a search: its objective, its injectivity
+#: certificates and its reported value all read 2 * samples nodes per circle.
 DEFAULT_SAMPLES = 2048
 
 #: Candidates must beat the certified incumbent by this much before the
 #: (expensive) injectivity certificate is attempted.
 CERTIFY_MARGIN = 1e-6
-
-#: Boundary samples per circle of the scan that bounds the image modulus.
-_SCAN = 8192
 
 _ESCAPE_SLACK = 1e-12
 _DEGREE_CAP = 4
@@ -119,46 +118,13 @@ class SearchResult:
         return self.best_value - self.conjecture_value
 
 
-def _objective_value(coefficients: np.ndarray, basis: np.ndarray, strict: bool) -> float:
-    """Sampled objective on an ``annulus_basis`` whose last row is the query
-    point; with strict=False an escaping image yields a negative penalty
-    instead of an exception (used inside the search)."""
-    values = basis @ coefficients
+def _objective_value(values: np.ndarray) -> float:
+    """Minimum pseudo-hyperbolic distance from f(p), the last entry of a
+    boundary evaluation, to the boundary samples before it."""
     w, wp = values[:-1], values[-1]
-    escape = max(np.abs(w).max() - 1.0, abs(wp) - (1.0 - 1e-15))
-    if escape >= _ESCAPE_SLACK:
-        if strict:
-            raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
-        return -1.0 - escape
     # |wp - w|^2 - |1 - conj(w) wp|^2 = (1 - |wp|^2)(|w|^2 - 1), so a sample
     # on or beyond the unit circle lies at pseudo-distance >= 1 and never wins
     return float(np.abs((wp - w) / (1.0 - np.conj(w) * wp)).min())
-
-
-def _normalized(coefficients: np.ndarray, scan: np.ndarray) -> np.ndarray | None:
-    """Rescale a coefficient vector so the boundary image provably stays
-    inside the unit disc.
-
-    Scalar multiples preserve univalence, so the search works on normalised
-    representatives and feasibility walls disappear.  A boundary curve T is a
-    trigonometric polynomial of the Laurent degree m, so |T|^2 is a
-    non-negative one of degree 2m; by Szego's inequality
-    |t'| <= 2m sqrt(M^2 - t^2) for such a t with maximum M, it stays
-    >= M cos(2m s) within s of its maximum.  Some node at angular step h
-    lies within h/2 of it, so
-    max |T| <= max_nodes |T| / sqrt(cos(m h)) <= max_nodes |T| / sqrt(1 - (m h)^2 / 2),
-    and dividing by that inflated peak keeps the rescaled image strictly
-    inside the disc at every resolution.
-    ``scan`` is the ``annulus_basis`` at _SCAN samples per circle.
-    Degenerate (near-zero) vectors yield None.
-    """
-    degree = len(coefficients) // 2
-    peak = np.abs(scan @ coefficients).max()
-    if peak < 1e-12:
-        return None
-    step = 2.0 * np.pi / _SCAN
-    inflation = 1.0 / math.sqrt(1.0 - 0.5 * (degree * step) ** 2)
-    return coefficients * ((1.0 - 1e-12) / (peak * inflation))
 
 
 def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> float:
@@ -172,8 +138,11 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
     point = annulus.point(p)
-    basis = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point)
-    return _objective_value(candidate.coefficients, basis, strict=True)
+    values = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point) @ candidate.coefficients
+    escape = max(np.abs(values[:-1]).max() - 1.0, abs(values[-1]) - (1.0 - 1e-15))
+    if escape >= _ESCAPE_SLACK:
+        raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
+    return _objective_value(values)
 
 
 def tier_a_bound(annulus: Annulus, p) -> SearchResult:
@@ -270,6 +239,8 @@ def tier_b_search(
         raise DomainValidationError("budget must be at least 1")
     if seed < 0:
         raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
+    if not isinstance(samples, int) or samples < 64:  # the inflation below needs a fine node step
+        raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")
 
     tier_a = tier_a_bound(annulus, point)
     if degree == 0:
@@ -281,12 +252,20 @@ def tier_b_search(
     seed_reflection = np.zeros(size, dtype=complex)
     seed_reflection[degree - 1] = annulus.r
 
-    # the power bases of the normalising scan and of the objective ring are
-    # built once here; every evaluation below is one matrix-vector product
-    scan = annulus_basis(annulus.r, _SCAN, degree)
-    ring = annulus_basis(annulus.r, samples, degree, point)
+    # one power basis, on the certificate's 2 * samples nodes per circle plus
+    # the query point; every evaluation below is one matrix-vector product
+    ring = annulus_basis(annulus.r, 2 * samples, degree, point)
+    # Scalar multiples preserve univalence, so each vector is scored rescaled
+    # to put its boundary image provably inside the disc.  A boundary curve T
+    # is a trigonometric polynomial of degree m, so |T|^2 is a non-negative one
+    # of degree 2m; by Szego's inequality |t'| <= 2m sqrt(M^2 - t^2) for such
+    # a t with maximum M, it stays >= M cos(2m s) within s of its maximum.  Some
+    # node at step h = pi / samples lies within h/2 of it, so max |T| <= max
+    # over nodes |T| / sqrt(cos(m h)) <= that max * inflation: dividing by the
+    # inflated peak keeps the image, and by maximum modulus f(p), in the disc.
+    inflation = 1.0 / math.sqrt(1.0 - 0.5 * (degree * np.pi / samples) ** 2)
     incumbent_value = tier_a.best_value
-    incumbent = None  # (coefficients, raw value, certificate); None -> Mobius fallback
+    incumbent = None  # the adopted Laurent candidate; None -> Mobius fallback
     rejected_above = -np.inf
 
     rng = np.random.default_rng(seed)
@@ -307,16 +286,20 @@ def tier_b_search(
         if evaluations >= stop:
             raise _Exhausted
         evaluations += 1
-        coefficients = _normalized(_decode(x), scan)
-        if coefficients is None:
+        c = _decode(x)
+        values = ring @ c
+        peak = np.abs(values[:-1]).max()
+        if peak < 1e-12:
             return -1.0
-        value = _objective_value(coefficients, ring, strict=False)
+        scale = (1.0 - 1e-12) / (peak * inflation)
+        value = _objective_value(values * scale)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
+            coefficients = c * scale
             certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
             attempts[certificate.status] += 1
             if certificate.status == "certified":
-                incumbent = (coefficients.copy(), value, certificate)
-                incumbent_value = value
+                incumbent = EmbeddingCandidate.laurent(coefficients, certificate)
+                incumbent_value = _objective_value(ring @ coefficients)
             else:
                 rejected_above = value
         return value
@@ -329,27 +312,9 @@ def tier_b_search(
         except _Exhausted:
             exhausted = True
 
-    best_value = tier_a.best_value
-    best_candidate = tier_a.best_candidate
-    if incumbent is not None:
-        coefficients, raw_value, certificate = incumbent
-        try:
-            basis = annulus_basis(annulus.r, 2 * samples, degree, point)
-            final_value = _objective_value(coefficients, basis, strict=True)
-        except ImageEscapesDisc:
-            final_value = None
-        # resolution disagreement invalidates the candidate
-        if (
-            final_value is not None
-            and abs(final_value - raw_value) <= CERTIFY_MARGIN
-            and final_value > best_value
-        ):
-            best_value = final_value
-            best_candidate = EmbeddingCandidate.laurent(coefficients, certificate)
-
     return SearchResult(
-        best_value=best_value,
-        best_candidate=best_candidate,
+        best_value=incumbent_value,
+        best_candidate=tier_a.best_candidate if incumbent is None else incumbent,
         tier_a_value=tier_a.best_value,
         conjecture_value=tier_a.conjecture_value,
         evaluations=evaluations,

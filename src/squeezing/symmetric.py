@@ -141,16 +141,21 @@ def _matrix_point(domain: ClassicalDomain, point) -> np.ndarray:
 def contains(domain: ClassicalDomain, point) -> bool:
     """Strict membership of ``point`` in the given classical domain; exact
     boundary ties of types I-III are decided by rounding, not always outside
-    (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside)."""
+    (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside).
+    A point with a NaN or infinite entry is outside."""
     if domain.kind == "IV":
         z = np.asarray(point, dtype=complex)
         (n,) = domain.params
         if z.shape != (n,):
             raise ShapeMismatch(f"type IV point must be a complex {n}-vector, got shape {z.shape}")
+    else:
+        z = _matrix_point(domain, point)
+    if not np.isfinite(z).all():  # before any product, where an infinite entry warns (inf * 0)
+        return False
+    if domain.kind == "IV":
         quad = np.dot(z, z)  # non-conjugated sum z_j^2
         norm_sq = np.vdot(z, z).real
         return bool(1.0 + abs(quad) ** 2 - 2.0 * norm_sq > 0.0 and 1.0 - abs(quad) > 0.0)
-    z = _matrix_point(domain, point)
     h = np.eye(z.shape[0], dtype=complex) - z @ z.conj().T
     h = 0.5 * (h + h.conj().T)
     return _positive_definite(h)

@@ -319,6 +319,21 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["value"] == 1.0
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    # as `squeeze table ... | head -1`: the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "squeezing", "table", "--annulus", "0.25", "--samples", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout.readline() == b"rho,lower_bound,conjecture\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_degree_zero_search_at_subnormal_radius(capsys):
     # degree 0 is the closed form, as for bound --annulus: no power of r is formed
     code, out, _ = run_cli(

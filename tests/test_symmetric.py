@@ -106,9 +106,20 @@ class TestMembership:
         ],
     )
     def test_non_finite_type_i_point_outside(self, params, point):
-        # an infinite entry makes the product Z Z^H warn (inf * 0); the answer is what counts
-        with np.errstate(invalid="ignore"):
-            assert not contains(ClassicalDomain.type_i(*params), point)
+        assert not contains(ClassicalDomain.type_i(*params), point)
+
+    @pytest.mark.parametrize(
+        "domain, point",
+        [
+            (ClassicalDomain.type_ii(2), [[np.inf, 0.0], [0.0, 0.0]]),
+            (ClassicalDomain.type_iii(2), [[0.0, np.inf], [-np.inf, 0.0]]),
+            (ClassicalDomain.type_iv(2), [np.inf, 0.0]),
+            (ClassicalDomain.type_iv(3), [0.5, complex(0.0, -np.inf), np.nan]),
+        ],
+    )
+    def test_infinite_entry_outside_without_warning(self, domain, point):
+        # RuntimeWarnings are errors in this suite: the products must never run
+        assert not contains(domain, point)
 
     def test_non_finite_type_i_sweep(self):
         rng = np.random.default_rng(15)
