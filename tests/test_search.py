@@ -113,6 +113,26 @@ class TestTierB:
         assert collapsed.best_candidate.family == reference.best_candidate.family
         assert collapsed.evaluations == 2
 
+    @pytest.mark.parametrize("r, rho, degree, budget, seed, evaluations, exhausted, certificates, family, value", [
+        (0.25, 0.5, 2, 500, 42, 500, True, (0, 9, 0), "mobius-inclusion", 0.2857142857142857),
+        (0.25, 0.5, 1, 500, 42, 500, True, (11, 5, 13), "laurent", 0.3589047787711908),
+        (0.5, 0.75, 2, 500, 0, 500, True, (5, 12, 0), "laurent", 0.4278081548728697),
+        (0.1, 0.6, 1, 300, 3, 300, True, (4, 3, 2), "laurent", 0.5801394168230569),
+        (0.25, 0.7, 1, 200, 1, 200, True, (11, 0, 1), "laurent", 0.5876969849890389),
+        (0.25, 0.7, 3, 500, 1, 500, True, (2, 9, 0), "laurent", 0.6014334348023713),
+    ])
+    def test_search_decisions_are_pinned(
+        self, r, rho, degree, budget, seed, evaluations, exhausted, certificates, family, value
+    ):
+        # every decision exactly; the value only to a relative 1e-12, since its
+        # last bits follow the BLAS build's summation order
+        result = tier_b_search(Annulus(r), rho, degree=degree, budget=budget, seed=seed)
+        assert result.evaluations == evaluations
+        assert result.budget_exhausted is exhausted
+        assert tuple(result.certificates) == certificates
+        assert result.best_candidate.family == family
+        assert result.best_value == pytest.approx(value, rel=1e-12, abs=0)
+
     def test_containment(self):
         result = tier_b_search(QUARTER, 0.5, degree=1, budget=80, seed=1)
         assert result.best_value >= result.tier_a_value - 1e-9
