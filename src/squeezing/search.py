@@ -118,13 +118,25 @@ class SearchResult:
         return self.best_value - self.conjecture_value
 
 
-def _objective_value(values: np.ndarray) -> float:
+def _scratch(n: int):
+    """Buffers for ``_objective_value`` on evaluations of n boundary samples."""
+    return np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.empty(n)
+
+
+def _objective_value(values: np.ndarray, scratch) -> float:
     """Minimum pseudo-hyperbolic distance from f(p), the last entry of a
-    boundary evaluation, to the boundary samples before it."""
+    boundary evaluation, to the boundary samples before it; ``scratch`` is
+    ``_scratch(len(values) - 1)``, overwritten."""
+    numerator, denominator, modulus = scratch
     w, wp = values[:-1], values[-1]
     # |wp - w|^2 - |1 - conj(w) wp|^2 = (1 - |wp|^2)(|w|^2 - 1), so a sample
     # on or beyond the unit circle lies at pseudo-distance >= 1 and never wins
-    return float(np.abs((wp - w) / (1.0 - np.conj(w) * wp)).min())
+    np.subtract(wp, w, out=numerator)
+    np.conjugate(w, out=denominator)
+    denominator *= wp
+    np.subtract(1.0, denominator, out=denominator)
+    numerator /= denominator
+    return float(np.abs(numerator, out=modulus).min())
 
 
 def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> float:
@@ -142,7 +154,7 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     escape = max(np.abs(values[:-1]).max() - 1.0, abs(values[-1]) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
         raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
-    return _objective_value(values)
+    return _objective_value(values, _scratch(len(values) - 1))
 
 
 def tier_a_bound(annulus: Annulus, p) -> SearchResult:
@@ -169,21 +181,17 @@ class _Exhausted(Exception):
 def _simplex_maximize(fn: Callable, x0: np.ndarray):
     """Deterministic Nelder-Mead ascent; fn may abort the run via _Exhausted."""
     dim = len(x0)
-    points = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        shifted = np.array(x0, dtype=float)
-        shifted[i] += _SIMPLEX_STEP
-        points.append(shifted)
-    values = [fn(x) for x in points]
+    points = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))  # one vertex per row
+    points[1:][np.diag_indices(dim)] += _SIMPLEX_STEP
+    values = np.array([fn(x) for x in points])
 
     for _ in range(_SIMPLEX_ITERATIONS):
-        order = sorted(range(dim + 1), key=lambda i: -values[i])
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.max(np.abs(p - points[0])) for p in points[1:])
-        if values[0] - values[-1] < 1e-11 and spread < 1e-11:
+        order = np.argsort(-values, kind="stable")
+        points = points[order]
+        values = values[order]
+        if values[0] - values[-1] < 1e-11 and np.abs(points[1:] - points[0]).max() < 1e-11:
             break
-        centroid = np.mean(points[:-1], axis=0)
+        centroid = points[:-1].mean(axis=0)
         reflected = centroid + (centroid - points[-1])
         f_reflected = fn(reflected)
         if f_reflected > values[0]:
@@ -201,8 +209,8 @@ def _simplex_maximize(fn: Callable, x0: np.ndarray):
             if f_contracted > values[-1]:
                 points[-1], values[-1] = contracted, f_contracted
             else:
-                points = [points[0]] + [points[0] + 0.5 * (p - points[0]) for p in points[1:]]
-                values = [values[0]] + [fn(p) for p in points[1:]]
+                points[1:] = points[0] + 0.5 * (points[1:] - points[0])
+                values[1:] = [fn(x) for x in points[1:]]
 
 
 def _encode(coefficients: np.ndarray) -> np.ndarray:
@@ -281,25 +289,31 @@ def tier_b_search(
     exhausted = False
     attempts = dict.fromkeys(CertificateAttempts._fields, 0)
 
+    # evaluations write into buffers allocated here, once per search
+    values = np.empty(len(ring), dtype=complex)
+    scratch = _scratch(len(ring) - 1)
+    modulus = scratch[2]
+
     def raw(x: np.ndarray) -> float:
         nonlocal evaluations, incumbent, incumbent_value, rejected_above
         if evaluations >= stop:
             raise _Exhausted
         evaluations += 1
         c = _decode(x)
-        values = ring @ c
-        peak = np.abs(values[:-1]).max()
+        np.matmul(ring, c, out=values)
+        peak = np.abs(values[:-1], out=modulus).max()
         if peak < 1e-12:
             return -1.0
         scale = (1.0 - 1e-12) / (peak * inflation)
-        value = _objective_value(values * scale)
+        np.multiply(values, scale, out=values)
+        value = _objective_value(values, scratch)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
             coefficients = c * scale
             certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
             attempts[certificate.status] += 1
             if certificate.status == "certified":
                 incumbent = EmbeddingCandidate.laurent(coefficients, certificate)
-                incumbent_value = _objective_value(ring @ coefficients)
+                incumbent_value = _objective_value(np.matmul(ring, coefficients, out=values), scratch)
             else:
                 rejected_above = value
         return value
