@@ -31,7 +31,10 @@ per call, on 2 * samples nodes per circle plus the query point.  Those are
 the nodes the injectivity certificate samples and the resolution of the
 reported value, so the search, the certificate and the reported value share
 them; each evaluation is one matrix-vector product of that basis with the
-coefficient vector.
+coefficient vector.  The product, its rescaling and the pseudo-hyperbolic
+minimum write into buffers allocated once per search call, so an
+evaluation allocates nothing the size of the basis, and the simplex keeps
+its vertices in one array.
 """
 
 from __future__ import annotations

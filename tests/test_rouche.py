@@ -196,6 +196,16 @@ class TestLaurentBasis:
         assert np.array_equal(basis[:, 3], z)
         assert np.allclose(basis[:, 0], z ** -2.0, rtol=1e-15)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_evaluator_matches_annulus_basis_bit_for_bit(self, degree):
+        # the certificate, the search and the evaluator share one power table
+        r, n = 0.3, 512
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        nodes = np.concatenate([ring, r * ring])
+        assert np.array_equal(laurent_map(c).evaluator(nodes), rouche.annulus_basis(r, n, degree) @ c)
+
     def test_even_length_rejected(self):
         with pytest.raises(DomainValidationError):
             laurent_map([0, 1])
