@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -129,19 +130,43 @@ def annulus_minimum_value(annulus: Annulus) -> float:
 
 
 def excision_constant(u: float, v: float, w: float) -> float:
-    """inf over r in [u, v] of euclidean_radius(hyperbolic_radius(r/v) - hyperbolic_radius(r/w)).
+    """inf over r in [u, v] of euclidean_radius(hyperbolic_radius(r/v) - hyperbolic_radius(r/w)),
+    rounded down, so it never exceeds the exact infimum.
 
     The infimum is the value at r = u.  With hyperbolic_radius(x) =
     log((1 + x)/(1 - x)), the bracket has derivative
     2 [v/(v^2 - r^2) - w/(w^2 - r^2)] in r, which is positive because
     t -> t/(t^2 - r^2) decreases for t > r and v < w; euclidean_radius
     increases, so the objective increases in r.  By ``_gap_value`` the value
-    at r = u is u(w - v)/(vw - u^2), summed from differences of the inputs.
-    Positive for all 0 < u < v < w < 1.
+    at r = u is q = u(w - v)/(vw - u^2) = ua/(va + bs), with a = w - v,
+    b = v - u and s = v + u, and it is evaluated in that form.  Positive for
+    all 0 < u < v < w < 1 (unless q underflows).
+
+    Rounding budget.  For u >= 2^-480 every intermediate is normal (a and b
+    are at least ulp(u) >= 2^-532 and s > u, so the products and the
+    quotient exceed 2^-1013), so each operation returns x(1 + d) with
+    |d| <= e = 2^-53.
+    Sterbenz's lemma makes a exact when w <= 2v and b exact when v <= 2u.
+    With a' = a(1 + d1), the computed quotient is
+        q' = q (1 + d1)(1 + d4)(1 + d8) / (1 + d7) * (va + bs) / (va A + bs B),
+    A = (1 + d1)(1 + d5), B = (1 + d2)(1 + d3)(1 + d6), from the roundings
+    of a (d1), b (d2), s (d3), ua (d4), va (d5), bs (d6), the sum (d7) and
+    the quotient (d8).  The last ratio is at most max(1/A, 1/B), so
+    q'/q <= (1 - e)^-k with k = 5 + [w > 2v] + [v > 2u].  Hence
+    q' - q <= q'(1 - (1 - e)^k) <= k e q' < k ulp(q'), since q' < 2^53 ulp(q'),
+    and q' - k ulp(q'), which is exact, lies below q.  Below u = 2^-480 a
+    product may be subnormal, where rounding is not relative, so the exact
+    rational value is rounded down instead.
     """
     if not 0.0 < u < v < w < 1.0:
         raise ParameterOrderViolation("parameters must satisfy 0 < u < v < w < 1")
-    return u * (w - v) / (v * (w - v) + (v - u) * (v + u))
+    if u < 2.0 ** -480:
+        exact = Fraction(u) * (Fraction(w) - Fraction(v)) / (Fraction(v) * Fraction(w) - Fraction(u) ** 2)
+        value = float(exact)  # correctly rounded, so at most one step above
+        return value if value <= exact else math.nextafter(value, 0.0)
+    value = u * (w - v) / (v * (w - v) + (v - u) * (v + u))
+    budget = 5 + (w > 2.0 * v) + (v > 2.0 * u)
+    return value - budget * math.ulp(value)
 
 
 def mobius_circle_image(a, rho: float) -> tuple[complex, float]:

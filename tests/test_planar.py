@@ -148,10 +148,37 @@ class TestExcisionConstant:
             assert abs(excision_constant(u, v, w) - brute) <= 1e-9, (u, v, w)
 
     def test_infimum_sits_at_left_endpoint(self):
-        # the objective increases in r, so the infimum is the left endpoint value
+        # the objective increases in r, so the infimum is the left endpoint
+        # value, rounded down by a budget of at most 7 ulps
         for u, v, w in [(0.1, 0.4, 0.7), (0.2, 0.3, 0.6), (0.05, 0.5, 0.9)]:
             endpoint = rational_endpoint_value(u, v, w)
-            assert abs(excision_constant(u, v, w) - endpoint) <= 4 * math.ulp(float(endpoint)), (u, v, w)
+            gap = endpoint - Fraction(excision_constant(u, v, w))
+            assert 0 < gap <= 14 * math.ulp(float(endpoint)), (u, v, w)
+
+    def test_never_above_the_exact_infimum(self):
+        # a "lower" value to the last ulp: in rational arithmetic no result
+        # exceeds u(w - v)/(vw - u^2), and none sits more than 14 ulps below
+        rng = np.random.default_rng(17)
+        triples = [
+            (0.673930871746986, 0.6739308717469861, 0.6746675731628228),
+            (1e-200, 2e-200, 3e-200),
+            (1e-320, 0.5, 0.9),
+        ]
+        for _ in range(500):
+            u, v, w = (float(x) for x in np.sort(rng.uniform(0.0, 1.0, 3)))
+            triples += [
+                (u, v, w),
+                (math.nextafter(v, 0.0), v, w),
+                (u, v, math.nextafter(v, 1.0)),
+                (u * 1e-150, v, w),
+                (u * 1e-100, v * 1e-100, w * 1e-100),
+            ]
+        for u, v, w in triples:
+            if not 0.0 < u < v < w < 1.0:
+                continue
+            value = excision_constant(u, v, w)
+            gap = rational_endpoint_value(u, v, w) - Fraction(value)
+            assert 0 <= gap <= 14 * math.ulp(value), (u, v, w)
 
     def test_grid_observation_w_monotonicity(self):
         # a theorem: the objective at each r grows with w, since hyperbolic_radius(r/w)
@@ -162,7 +189,7 @@ class TestExcisionConstant:
     def test_interval_collapse(self):
         tight = excision_constant(0.299999, 0.3, 0.6)
         endpoint = rational_endpoint_value(0.299999, 0.3, 0.6)
-        assert abs(tight - endpoint) <= 4 * math.ulp(float(endpoint))
+        assert 0 < endpoint - Fraction(tight) <= 14 * math.ulp(float(endpoint))
 
     def test_parameter_order_enforced(self):
         with pytest.raises(ParameterOrderViolation):
