@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -161,6 +160,8 @@ def excision_constant(u: float, v: float, w: float) -> float:
     if not 0.0 < u < v < w < 1.0:
         raise ParameterOrderViolation("parameters must satisfy 0 < u < v < w < 1")
     if u < 2.0 ** -480:
+        from fractions import Fraction  # only here: it loads decimal, 0.4 MB, on import
+
         exact = Fraction(u) * (Fraction(w) - Fraction(v)) / (Fraction(v) * Fraction(w) - Fraction(u) ** 2)
         value = float(exact)  # correctly rounded, so at most one step above
         return value if value <= exact else math.nextafter(value, 0.0)
