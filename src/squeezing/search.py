@@ -184,7 +184,7 @@ class _Exhausted(Exception):
 def _simplex_maximize(fn: Callable, x0: np.ndarray):
     """Deterministic Nelder-Mead ascent; fn may abort the run via _Exhausted."""
     dim = len(x0)
-    points = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))  # one vertex per row
+    points = np.tile(x0, (dim + 1, 1))  # one vertex per row
     points[1:][np.diag_indices(dim)] += _SIMPLEX_STEP
     values = np.array([fn(x) for x in points])
 
@@ -295,7 +295,6 @@ def tier_b_search(
     # evaluations write into buffers allocated here, once per search
     values = np.empty(len(ring), dtype=complex)
     scratch = _scratch(len(ring) - 1)
-    modulus = scratch[2]
 
     def raw(x: np.ndarray) -> float:
         nonlocal evaluations, incumbent, incumbent_value, rejected_above
@@ -304,7 +303,7 @@ def tier_b_search(
         evaluations += 1
         c = _decode(x)
         np.matmul(ring, c, out=values)
-        peak = np.abs(values[:-1], out=modulus).max()
+        peak = np.abs(values[:-1], out=scratch[2]).max()
         if peak < 1e-12:
             return -1.0
         scale = (1.0 - 1e-12) / (peak * inflation)
