@@ -407,6 +407,38 @@ class TestBoundaryCertificate:
             outcomes.append(expected)
         assert 0.2 < np.mean(outcomes) < 0.8
 
+    def test_hash_matches_brute_force_at_certificate_scales(self):
+        # the certificate's own scales: 64-256 nodes per curve, tubes of
+        # 1e-9..1e-5, and an inner node pulled out along the normal of an
+        # outer segment to 0..3 times the tube sum from it, so that the
+        # closest pair is measured and lands on either side of its tubes
+        rng = np.random.default_rng(7)
+        outcomes = []
+        for case in range(60):
+            n = int(rng.choice([64, 128, 256]))
+            theta = 2 * np.pi * np.arange(n) / n
+            radii = np.array([[1.0], [rng.uniform(0.3, 0.8)]])
+            wobble = 1.0 + 1e-3 * rng.standard_normal((2, n))
+            phase = rng.uniform(0.0, 2 * np.pi, (2, 1))
+            nodes = radii * wobble * np.exp(1j * (theta + phase))
+            tubes = 10.0 ** rng.uniform(-9, -5, 2)
+            j = int(rng.integers(n))
+            p, q = nodes[0, j], nodes[0, (j + 1) % n]
+            inward = 1j * (q - p) / abs(q - p)  # the outer curve runs counterclockwise
+            tip = p + rng.uniform(0.3, 0.7) * (q - p) + inward * rng.uniform(0.0, 3.0) * tubes.sum()
+            # pull out the inner node nearest in angle, so the spike crosses nothing
+            nodes[1, int(np.rint((np.angle(tip) - phase[1, 0]) * n / (2 * np.pi))) % n] = tip
+            if case == 0:
+                nodes[0, j] = 1e300  # the squared length of its segments overflows
+            elif case == 1:
+                nodes[0, j] = q  # a segment of length 0
+            with np.errstate(over="ignore", invalid="ignore"):  # the two cases above
+                expected = brute_force_apart(nodes, tubes)
+                assert _curves_apart(nodes, tubes) == expected, case
+            outcomes.append(expected)
+        assert not outcomes[0] and not outcomes[1]
+        assert 0.3 < np.mean(outcomes) < 0.8
+
     def test_segment_distances_match_dense_sampling(self):
         rng = np.random.default_rng(6)
         p1, q1, p2, q2 = rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))
