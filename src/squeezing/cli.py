@@ -254,6 +254,8 @@ def cmd_bound(args) -> int:
 
     if args.punctured_ball is not None:
         n = args.punctured_ball
+        if n < 1:
+            raise CLIError(f"--punctured-ball must be a positive integer, got {n}")
         if args.point is None or args.punctures is None:
             raise CLIError("--punctured-ball requires --punctures and --point")
         punctures = tuple(_parse_point(p, n) for p in args.punctures.split(";"))

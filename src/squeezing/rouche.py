@@ -335,23 +335,19 @@ def _segment_distances(p1, q1, p2, q2):
 
 
 def _cell_entries(start, end, tube):
-    """(key, segment) pairs, sorted by key, of the uniform cells that each
-    segment's box, widened by its tube, overlaps; cells are a little wider
-    than the widest box, so a box overlaps at most 2 x 2 of them."""
-    sides = []  # per axis, each box's low and high side
+    """The (key, segment) pairs, sorted by key, of the uniform cells that
+    each segment's box, widened by its tube, overlaps, and the sides
+    (low x, high x, low y, high y) of those boxes, one array each; cells are
+    a little wider than the widest box, so a box overlaps at most 2 x 2 of
+    them."""
+    boxes = []
     for a, b in ((start.real, end.real), (start.imag, end.imag)):
-        low, high = np.minimum(a, b), np.maximum(a, b)
-        low -= tube
-        high += tube
-        sides.append((low, high))
-    cell = 1.001 * max((high - low).max() for low, high in sides)
-    for low, high in sides:
-        origin = low.min()
-        for side in (low, high):  # now the index of the cell holding the side
-            side -= origin
-            side /= cell
-            np.floor(side, out=side)
-    (x0, x1), (y0, y1) = sides
+        boxes += [np.minimum(a, b) - tube, np.maximum(a, b) + tube]
+    lx, hx, ly, hy = boxes
+    cell = 1.001 * max((hx - lx).max(), (hy - ly).max())
+    # the index of the cell that holds each side
+    x0, x1 = (np.floor((side - lx.min()) / cell) for side in (lx, hx))
+    y0, y1 = (np.floor((side - ly.min()) / cell) for side in (ly, hy))
     span = y1.max() + 1.0
     x0 *= span
     x1 *= span
@@ -359,13 +355,13 @@ def _cell_entries(start, end, tube):
     # equal cells give equal keys, and were two cells' keys to round
     # together, the walk over equal keys would only check more pairs
     keys = [x0 + y0, x0 + y1, x1 + y0, x1 + y1]
-    del sides, x0, x1, y0, y1
+    del x0, x1, y0, y1
     fresh = [keys[1] != keys[0], keys[2] != keys[0], (keys[3] != keys[1]) & (keys[3] != keys[2])]
     segments = np.arange(len(start), dtype=np.int32)
     keys = np.concatenate([keys[0], *(k[mask] for k, mask in zip(keys[1:], fresh))])
     segments = np.concatenate([segments, *(segments[mask] for mask in fresh)])
     order = np.argsort(keys)
-    return keys[order], segments[order]
+    return keys[order], segments[order], boxes
 
 
 def _curves_apart(nodes, tubes) -> bool:
@@ -374,33 +370,45 @@ def _curves_apart(nodes, tubes) -> bool:
     except a segment and its two neighbours on the same polygon.
 
     Segment j of row i runs from nodes[i, j] to nodes[i, j + 1 mod n] and has
-    tube tubes[i].  A uniform-cell hash (``_cell_entries``) finds the
-    candidate pairs: two segments closer than their tubes share a cell.
-    Entries sorted by cell are paired at offsets 1, 2, ... within their
-    cell, one offset per pass, and each pass measures its pairs in chunks of
-    _PAIR_CHUNK, so memory stays O(nodes); the walk stops at the first chunk
-    with a pair too close.
+    tube tubes[i].  A segment whose squared length is 0, infinite or NaN
+    cannot be measured, so it fails at once.  A uniform-cell hash
+    (``_cell_entries``) finds the candidate pairs: two segments closer than
+    their tubes share a cell.  Entries sorted by cell are paired at offsets
+    1, 2, ... within their cell, one offset per pass.  Each pass drops, in
+    one vectorised step, the neighbours and every pair whose two boxes, each
+    widened by its own tube, are apart on x or on y: every two points of
+    such segments are then farther apart than the two tubes.  On the
+    certificate's curves, rounding the box sides costs a few ulps of
+    |T| <= sum |c_k| rho^k, far inside the rounding allowance that each tube
+    already carries.  Only the pairs that
+    remain are measured, in chunks of _PAIR_CHUNK; the walk stops at the
+    first chunk with a pair too close.  A pass holds a few arrays of its
+    pairs, at most four per segment, so memory stays O(nodes).
     """
     n = nodes.shape[1]
     start = nodes.ravel()
     end = np.roll(nodes, -1, axis=1).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = np.square(end.real - start.real) + np.square(end.imag - start.imag)
+    if not np.all((squared > 0.0) & (squared < np.inf)):  # NaN fails too
+        return False
     tube = np.repeat(tubes, n)
-    keys, segments = _cell_entries(start, end, tube)
+    keys, segments, (lx, hx, ly, hy) = _cell_entries(start, end, tube)
     active = np.arange(len(keys) - 1)
     offset = 0
     while len(active):
         offset += 1
         active = active[active + offset < len(keys)]
         active = active[keys[active + offset] == keys[active]]
-        for chunk in range(0, len(active), _PAIR_CHUNK):
-            pairs = active[chunk:chunk + _PAIR_CHUNK]
-            a, b = segments[pairs], segments[pairs + offset]
-            gap = (a - b) % n
-            neighbours = (a // n == b // n) & ((gap == 1) | (gap == n - 1))
-            a, b = a[~neighbours], b[~neighbours]
-            distance = _segment_distances(start[a], end[a], start[b], end[b])
-            # NaN (a degenerate segment) fails the test too
-            if not np.all(distance > tube[a] + tube[b]):
+        a, b = segments[active], segments[active + offset]
+        gap = (a - b) % n
+        skip = (a // n == b // n) & ((gap == 1) | (gap == n - 1))
+        skip |= (hx[a] < lx[b]) | (hx[b] < lx[a]) | (hy[a] < ly[b]) | (hy[b] < ly[a])
+        a, b = a[~skip], b[~skip]
+        for chunk in range(0, len(a), _PAIR_CHUNK):
+            p, q = a[chunk:chunk + _PAIR_CHUNK], b[chunk:chunk + _PAIR_CHUNK]
+            distance = _segment_distances(start[p], end[p], start[q], end[q])
+            if not np.all(distance > tube[p] + tube[q]):
                 return False
     return True
 
@@ -499,8 +507,9 @@ def injectivity_certificate(
     attribute.  ``target_grid`` is not read; it stays in the signature for
     the callers that pass it.  The proof is chosen by the input alone, a
     refutation rests only on trusted counts, and "inconclusive" names the
-    test that failed in ``reason``.  An r outside (0, 1) or ``samples`` below
-    1 raises DomainValidationError.
+    test that failed in ``reason``.  An r outside (0, 1), or a ``samples``
+    that is not an integer of at least 1 (a float or a bool is refused; numpy
+    integers are accepted) raises DomainValidationError.
 
     **Disc automorphisms** (built by ``disc_automorphism``): certified
     without sampling, and ``min_boundary_modulus`` is inf.  For |a| < 1 the
@@ -535,9 +544,13 @@ def injectivity_certificate(
         within a step, T is injective on every two consecutive steps, and the
         tangent turns by less than pi per step, so the sampled turning
         numbers are exact, and they must agree;
-    (b) every two segments that are not neighbours on one curve, and every
-        pair across the two curves, lie farther apart than their two tubes
-        (a uniform-cell hash walks the candidate pairs, O(samples) memory).
+    (b) every segment has a positive, finite squared length, and every two
+        segments that are not neighbours on one curve, and every pair across
+        the two curves, lie farther apart than their two tubes.  A
+        uniform-cell hash walks the candidate pairs, and a pair whose
+        tube-widened boxes are apart on x or on y is apart without being
+        measured (the box sides round by ulps of |T|, far inside the tubes'
+        rounding allowance); memory stays O(samples).
     A crossing found this way is only ever inconclusive, never a refutation.
 
     Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)
@@ -554,7 +567,7 @@ def injectivity_certificate(
     **Other maps** are inconclusive: no proof applies to a bare evaluator.
     """
     inner_radius = Annulus(float(getattr(annulus, "r", annulus))).r
-    if not samples >= 1:  # also rejects nan
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainValidationError(f"samples must be a positive integer, got {samples!r}")
     if getattr(f.evaluator, "automorphism_parameter", None) is not None:
         return InjectivityCertificate("certified", math.inf)

@@ -87,6 +87,14 @@ class TestBound:
         assert record["value"] == pytest.approx(0.25, abs=1e-12)
         assert record["tag"] == "upper"
 
+    @pytest.mark.parametrize("dimension", ["0", "-1"])
+    def test_punctured_ball_dimension_names_the_option(self, capsys, dimension):
+        code, _, err = run_cli(
+            capsys, "bound", "--punctured-ball", dimension, "--punctures", "0", "--point", "0"
+        )
+        assert code == 2
+        assert f"--punctured-ball must be a positive integer, got {dimension}" in err
+
     def test_excised_config(self, capsys, tmp_path):
         config = tmp_path / "holes.json"
         config.write_text(

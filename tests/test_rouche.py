@@ -377,10 +377,15 @@ class TestBoundaryCertificate:
             cert = injectivity_certificate(f, r, samples=512)
             assert cert.status == status and cert.critical_points >= 1
 
-    @pytest.mark.parametrize("samples", [0, -3, np.nan])
+    @pytest.mark.parametrize("samples", [0, -3, np.nan, 7.9, 1.5, True])
     def test_samples_must_be_positive(self, samples):
         with pytest.raises(DomainValidationError, match=f"samples must be a positive integer, got {samples!r}"):
             injectivity_certificate(MILD, 0.4, samples=samples)
+
+    def test_samples_accepts_numpy_integers(self):
+        cert = injectivity_certificate(MILD, 0.4, samples=np.int64(512))
+        assert cert.status == "certified"
+        assert type(cert.samples) is int and cert.samples == 512
 
     def test_turning_numbers_stop_a_missed_critical_point(self, monkeypatch):
         # with no root located, z + lambda/z with r^2 < |lambda| < r^1.5 passes
