@@ -380,10 +380,10 @@ def _curves_apart(nodes, tubes) -> bool:
     such segments are then farther apart than the two tubes.  On the
     certificate's curves, rounding the box sides costs a few ulps of
     |T| <= sum |c_k| rho^k, far inside the rounding allowance that each tube
-    already carries.  Only the pairs that
-    remain are measured, in chunks of _PAIR_CHUNK; the walk stops at the
-    first chunk with a pair too close.  A pass holds a few arrays of its
-    pairs, at most four per segment, so memory stays O(nodes).
+    already carries.  Only the pairs that remain are measured, in chunks of
+    _PAIR_CHUNK; the walk stops at the first chunk with a pair too close.  A
+    pass holds a few arrays of its pairs, at most four per segment, so memory
+    stays O(nodes).
     """
     n = nodes.shape[1]
     start = nodes.ravel()
