@@ -417,6 +417,33 @@ def _curves_apart(nodes, tubes) -> bool:
 #: rounding of a boundary node's value (and derivative).
 _ROUNDING = 1e-12
 
+#: Entries from which OpenBLAS hands a complex matrix-vector product to its
+#: threads; a smaller product runs on the calling thread.
+_SERIAL_ENTRIES = 4096
+
+
+def _table_product(table: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``table @ vector`` for an (N, K) power table, in blocks of rows that
+    each hold fewer than ``_SERIAL_ENTRIES`` entries, so the BLAS multiplies
+    every block on the calling thread.
+
+    Threads do not pay on a certificate's table: OpenBLAS's helper thread
+    spins between products and holds a second core, and beside any other
+    busy process each product waits for it (at two BLAS threads one such
+    process cut the certificates' throughput by more than half).  Where the
+    threads split the rows, the last bit of a few values also depends on the
+    thread count.  The BLAS kernel takes rows in fours and a remainder
+    apart, and every block starts at a multiple of 4 rows, so each value has
+    the bits that one single-threaded product of the whole table gives it.
+    """
+    n, k = table.shape
+    rows = 4 * max(1, (_SERIAL_ENTRIES - 1) // (4 * k))
+    whole = n - n % rows
+    out = np.empty(n, dtype=np.result_type(table, vector))
+    np.matmul(table[:whole].reshape(-1, rows, k), vector, out=out[:whole].reshape(-1, rows))
+    np.matmul(table[whole:], vector, out=out[whole:])
+    return out
+
 
 def _roots(p: np.ndarray) -> np.ndarray:
     """Roots of sum_j p_j z^j, the eigenvalues of its companion matrix
@@ -457,8 +484,8 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
 
     n = 2 * samples
     basis = annulus_basis(inner_radius, n, m)
-    nodes = (basis @ c).reshape(2, n)
-    tangents = (basis @ (1j * k * c)).reshape(2, n)  # dT/dtheta = i z f'(z)
+    nodes = _table_product(basis, c).reshape(2, n)
+    tangents = _table_product(basis, 1j * k * c).reshape(2, n)  # dT/dtheta = i z f'(z)
     del basis
 
     # preimages of w0 = f(sqrt r): the winding number of the outer curve about

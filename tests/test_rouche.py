@@ -206,6 +206,17 @@ class TestLaurentBasis:
         nodes = np.concatenate([ring, r * ring])
         assert np.array_equal(laurent_map(c).evaluator(nodes), rouche.annulus_basis(r, n, degree) @ c)
 
+    @pytest.mark.parametrize("samples, degree, extra", [(16, 1, ()), (2048, 2, ()), (2048, 3, (0.5 + 0j,)),
+                                                        (1024, 6, ()), (50, 300, ())])
+    def test_table_product_gives_each_row_the_bits_of_an_aligned_block(self, samples, degree, extra):
+        # the certificate's products run in blocks below the BLAS thread
+        # threshold; aligned on 4 rows, a row's bits do not depend on the block
+        rng = np.random.default_rng(samples + degree)
+        c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        table = rouche.annulus_basis(0.4, 2 * samples, degree, *extra)
+        expected = np.concatenate([table[i:i + 4] @ c for i in range(0, len(table), 4)])
+        assert np.array_equal(rouche._table_product(table, c), expected)
+
     def test_even_length_rejected(self):
         with pytest.raises(DomainValidationError):
             laurent_map([0, 1])
