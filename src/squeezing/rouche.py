@@ -49,8 +49,9 @@ MAX_SAMPLES = 2 ** 16
 _STABLE_TOL = 1e-10
 _DOMINANCE_SAFETY = 1.05
 
-#: Segment pairs the boundary certificate measures at once.
-_PAIR_CHUNK = 1024
+#: Segment pairs the boundary certificate builds and measures at once, unless
+#: one segment alone overlaps more on x.
+_PAIR_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -334,36 +335,6 @@ def _segment_distances(p1, q1, p2, q2):
     return np.where(crossing, 0.0, distance)
 
 
-def _cell_entries(start, end, tube):
-    """The (key, segment) pairs, sorted by key, of the uniform cells that
-    each segment's box, widened by its tube, overlaps, and the sides
-    (low x, high x, low y, high y) of those boxes, one array each; cells are
-    a little wider than the widest box, so a box overlaps at most 2 x 2 of
-    them."""
-    boxes = []
-    for a, b in ((start.real, end.real), (start.imag, end.imag)):
-        boxes += [np.minimum(a, b) - tube, np.maximum(a, b) + tube]
-    lx, hx, ly, hy = boxes
-    cell = 1.001 * max((hx - lx).max(), (hy - ly).max())
-    # the index of the cell that holds each side
-    x0, x1 = (np.floor((side - lx.min()) / cell) for side in (lx, hx))
-    y0, y1 = (np.floor((side - ly.min()) / cell) for side in (ly, hy))
-    span = y1.max() + 1.0
-    x0 *= span
-    x1 *= span
-    # keys x * span + y of the cells (x0, y0), (x0, y1), (x1, y0), (x1, y1):
-    # equal cells give equal keys, and were two cells' keys to round
-    # together, the walk over equal keys would only check more pairs
-    keys = [x0 + y0, x0 + y1, x1 + y0, x1 + y1]
-    del x0, x1, y0, y1
-    fresh = [keys[1] != keys[0], keys[2] != keys[0], (keys[3] != keys[1]) & (keys[3] != keys[2])]
-    segments = np.arange(len(start), dtype=np.int32)
-    keys = np.concatenate([keys[0], *(k[mask] for k, mask in zip(keys[1:], fresh))])
-    segments = np.concatenate([segments, *(segments[mask] for mask in fresh)])
-    order = np.argsort(keys)
-    return keys[order], segments[order], boxes
-
-
 def _curves_apart(nodes, tubes) -> bool:
     """True iff the closed polygons through the rows of ``nodes`` keep every
     two of their segments farther apart than the sum of the segments' tubes,
@@ -371,19 +342,17 @@ def _curves_apart(nodes, tubes) -> bool:
 
     Segment j of row i runs from nodes[i, j] to nodes[i, j + 1 mod n] and has
     tube tubes[i].  A segment whose squared length is 0, infinite or NaN
-    cannot be measured, so it fails at once.  A uniform-cell hash
-    (``_cell_entries``) finds the candidate pairs: two segments closer than
-    their tubes share a cell.  Entries sorted by cell are paired at offsets
-    1, 2, ... within their cell, one offset per pass.  Each pass drops, in
-    one vectorised step, the neighbours and every pair whose two boxes, each
-    widened by its own tube, are apart on x or on y: every two points of
-    such segments are then farther apart than the two tubes.  On the
-    certificate's curves, rounding the box sides costs a few ulps of
-    |T| <= sum |c_k| rho^k, far inside the rounding allowance that each tube
-    already carries.  Only the pairs that remain are measured, in chunks of
-    _PAIR_CHUNK; the walk stops at the first chunk with a pair too close.  A
-    pass holds a few arrays of its pairs, at most four per segment, so memory
-    stays O(nodes).
+    cannot be measured, so it fails at once.  Two segments whose boxes, each
+    widened by its own tube, are apart on x or on y are farther apart than
+    their tubes; on the certificate's curves, rounding the box sides costs a
+    few ulps of |T| <= sum |c_k| rho^k, far inside the rounding allowance
+    that each tube already carries.  Sorted once by their low x side, each
+    box is paired with the later boxes whose low x side lies inside its
+    x-range: two boxes that overlap on x have the later one's low x side
+    inside the earlier one's x-range, so no overlapping pair is missed.
+    Blocks of at most _PAIR_CHUNK pairs (or of one box's pairs) drop the
+    pairs apart on y and the neighbours and measure the rest, so memory
+    stays O(nodes); the walk stops at the first block with a pair too close.
     """
     n = nodes.shape[1]
     start = nodes.ravel()
@@ -393,23 +362,34 @@ def _curves_apart(nodes, tubes) -> bool:
     if not np.all((squared > 0.0) & (squared < np.inf)):  # NaN fails too
         return False
     tube = np.repeat(tubes, n)
-    keys, segments, (lx, hx, ly, hy) = _cell_entries(start, end, tube)
-    active = np.arange(len(keys) - 1)
-    offset = 0
-    while len(active):
-        offset += 1
-        active = active[active + offset < len(keys)]
-        active = active[keys[active + offset] == keys[active]]
-        a, b = segments[active], segments[active + offset]
-        gap = (a - b) % n
-        skip = (a // n == b // n) & ((gap == 1) | (gap == n - 1))
-        skip |= (hx[a] < lx[b]) | (hx[b] < lx[a]) | (hy[a] < ly[b]) | (hy[b] < ly[a])
-        a, b = a[~skip], b[~skip]
-        for chunk in range(0, len(a), _PAIR_CHUNK):
-            p, q = a[chunk:chunk + _PAIR_CHUNK], b[chunk:chunk + _PAIR_CHUNK]
-            distance = _segment_distances(start[p], end[p], start[q], end[q])
-            if not np.all(distance > tube[p] + tube[q]):
-                return False
+    boxes = []
+    for a, b in ((start.real, end.real), (start.imag, end.imag)):
+        boxes += [np.minimum(a, b) - tube, np.maximum(a, b) + tube]
+    segment = np.argsort(boxes[0])
+    lx, hx, ly, hy = (side[segment] for side in boxes)
+    del boxes
+    # in this order box i overlaps on x the count[i] boxes after it; pair g
+    # of the walk belongs to the box i with ends[i - 1] <= g < ends[i], and
+    # its later box is g + shift[i]
+    later = np.arange(1, len(lx) + 1)
+    count = np.searchsorted(lx, hx, side="right") - later
+    ends = np.cumsum(count)
+    shift = later - (ends - count)
+    box = done = 0
+    while box < len(lx):
+        # the pairs of boxes box..stop - 1: at most _PAIR_CHUNK, or one box's
+        stop = max(box + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        a = np.repeat(np.arange(box, stop), count[box:stop])
+        b = np.arange(done, ends[stop - 1]) + shift[a]
+        box, done = stop, ends[stop - 1]
+        near = ~((hy[a] < ly[b]) | (hy[b] < ly[a]))
+        p, q = segment[a[near]], segment[b[near]]
+        gap = (p - q) % n
+        far = ~((p // n == q // n) & ((gap == 1) | (gap == n - 1)))
+        p, q = p[far], q[far]
+        distance = _segment_distances(start[p], end[p], start[q], end[q])
+        if not np.all(distance > tube[p] + tube[q]):
+            return False
     return True
 
 
@@ -422,27 +402,35 @@ _ROUNDING = 1e-12
 _SERIAL_ENTRIES = 4096
 
 
-def _table_product(table: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``table @ vector`` for an (N, K) power table, in blocks of rows that
-    each hold fewer than ``_SERIAL_ENTRIES`` entries, so the BLAS multiplies
-    every block on the calling thread.
+def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``table @ vector`` for an (N, K) power table, written into ``out`` (a
+    new array when None) and returned, in blocks of rows that each hold
+    fewer than ``_SERIAL_ENTRIES`` entries, so the BLAS multiplies every
+    block on the calling thread.
 
-    Threads do not pay on a certificate's table: OpenBLAS's helper thread
-    spins between products and holds a second core, and beside any other
-    busy process each product waits for it (at two BLAS threads one such
-    process cut the certificates' throughput by more than half).  Where the
-    threads split the rows, the last bit of a few values also depends on the
-    thread count.  The BLAS kernel takes rows in fours and a remainder
-    apart, and every block starts at a multiple of 4 rows, so each value has
-    the bits that one single-threaded product of the whole table gives it.
+    Threads do not pay on a certificate's or a search's table: OpenBLAS's
+    helper thread spins between products and holds a second core, and beside
+    any other busy process each product waits for it (at two BLAS threads
+    one such process cut the certificates' throughput by more than half).
+    Where the threads split the rows, the last bit of a few values also
+    depends on the thread count.  The BLAS kernel takes rows in fours and a
+    remainder apart, and every block starts at a multiple of 4 rows, so each
+    value has the bits that one single-threaded product of the whole table
+    gives it.
     """
     n, k = table.shape
     rows = 4 * max(1, (_SERIAL_ENTRIES - 1) // (4 * k))
     whole = n - n % rows
-    out = np.empty(n, dtype=np.result_type(table, vector))
+    if out is None:
+        out = np.empty(n, dtype=np.result_type(table, vector))
     np.matmul(table[:whole].reshape(-1, rows, k), vector, out=out[:whole].reshape(-1, rows))
     np.matmul(table[whole:], vector, out=out[whole:])
     return out
+
+
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
@@ -573,11 +561,12 @@ def injectivity_certificate(
         numbers are exact, and they must agree;
     (b) every segment has a positive, finite squared length, and every two
         segments that are not neighbours on one curve, and every pair across
-        the two curves, lie farther apart than their two tubes.  A
-        uniform-cell hash walks the candidate pairs, and a pair whose
-        tube-widened boxes are apart on x or on y is apart without being
-        measured (the box sides round by ulps of |T|, far inside the tubes'
-        rounding allowance); memory stays O(samples).
+        the two curves, lie farther apart than their two tubes.  The
+        tube-widened segment boxes, sorted once by their low x side, give
+        every pair that overlaps on x, and a pair whose boxes are apart on
+        y is apart without being measured (the box sides round by ulps of
+        |T|, far inside the tubes' rounding allowance); memory stays
+        O(samples).
     A crossing found this way is only ever inconclusive, never a refutation.
 
     Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)
@@ -594,7 +583,7 @@ def injectivity_certificate(
     **Other maps** are inconclusive: no proof applies to a bare evaluator.
     """
     inner_radius = Annulus(float(getattr(annulus, "r", annulus))).r
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not _is_integer(samples) or samples < 1:
         raise DomainValidationError(f"samples must be a positive integer, got {samples!r}")
     if getattr(f.evaluator, "automorphism_parameter", None) is not None:
         return InjectivityCertificate("certified", math.inf)

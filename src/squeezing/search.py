@@ -31,10 +31,11 @@ per call, on 2 * samples nodes per circle plus the query point.  Those are
 the nodes the injectivity certificate samples and the resolution of the
 reported value, so the search, the certificate and the reported value share
 them; each evaluation is one matrix-vector product of that basis with the
-coefficient vector.  The product, its rescaling and the pseudo-hyperbolic
-minimum write into buffers allocated once per search call, so an
-evaluation allocates nothing the size of the basis, and the simplex keeps
-its vertices in one array.
+coefficient vector, run on the calling thread by ``rouche._table_product``,
+so its bits do not depend on the BLAS thread count.  The product, its
+rescaling and the pseudo-hyperbolic minimum write into buffers allocated
+once per search call, so an evaluation allocates nothing the size of the
+basis, and the simplex keeps its vertices in one array.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ import numpy as np
 
 from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
 from .planar import Annulus, annulus_lower_bound
-from .rouche import InjectivityCertificate, annulus_basis, injectivity_certificate, laurent_map
+from .rouche import (
+    InjectivityCertificate, _is_integer, _table_product, annulus_basis, injectivity_certificate, laurent_map
+)
 
 #: Default ``samples`` of a search: its objective, its injectivity
 #: certificates and its reported value all read 2 * samples nodes per circle.
@@ -153,7 +156,8 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
     point = annulus.point(p)
-    values = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point) @ candidate.coefficients
+    basis = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point)
+    values = _table_product(basis, candidate.coefficients)
     escape = max(np.abs(values[:-1]).max() - 1.0, abs(values[-1]) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
         raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
@@ -244,13 +248,13 @@ def tier_b_search(
     certified result so far; identical inputs reproduce identical outputs.
     """
     point = annulus.point(p)
-    if not isinstance(degree, int) or not 0 <= degree <= _DEGREE_CAP:
+    if not _is_integer(degree) or not 0 <= degree <= _DEGREE_CAP:
         raise DomainValidationError(f"degree must be an integer in [0, {_DEGREE_CAP}]")
     if budget < 1:
         raise DomainValidationError("budget must be at least 1")
     if seed < 0:
         raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
-    if not isinstance(samples, int) or samples < 64:  # the inflation below needs a fine node step
+    if not _is_integer(samples) or samples < 64:  # the inflation below needs a fine node step
         raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")
 
     tier_a = tier_a_bound(annulus, point)
@@ -302,7 +306,7 @@ def tier_b_search(
             raise _Exhausted
         evaluations += 1
         c = _decode(x)
-        np.matmul(ring, c, out=values)
+        _table_product(ring, c, values)
         peak = np.abs(values[:-1], out=scratch[2]).max()
         if peak < 1e-12:
             return -1.0
@@ -315,7 +319,7 @@ def tier_b_search(
             attempts[certificate.status] += 1
             if certificate.status == "certified":
                 incumbent = EmbeddingCandidate.laurent(coefficients, certificate)
-                incumbent_value = _objective_value(np.matmul(ring, coefficients, out=values), scratch)
+                incumbent_value = _objective_value(_table_product(ring, coefficients, values), scratch)
             else:
                 rejected_above = value
         return value

@@ -316,6 +316,23 @@ class TestEnvironment:
                 assert json.loads(unset[1])["witness"]["samples"] == 2048
 
 
+    def test_search_is_byte_identical_at_any_blas_thread_count(self):
+        # a problem whose best value moved by an ulp when the BLAS threaded
+        # the search's matrix-vector products
+        argv = ["search", "--annulus", "0.22376170950406263", "--rho", "0.9423533046844299",
+                "--degree", "3", "--budget", "322", "--seed", "1352359263"]
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "squeezing", *argv],
+                capture_output=True,
+                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "squeezing", "exact", "--domain", "typeI:1,1"],

@@ -283,7 +283,7 @@ def joukowski(lam):
 
 
 def brute_force_apart(nodes, tubes):
-    """Reference for _curves_apart: every segment pair, no hash."""
+    """Reference for _curves_apart: every segment pair, no box filter."""
     rows, n = nodes.shape
     start = nodes.ravel()
     end = np.roll(nodes, -1, axis=1).ravel()
@@ -294,6 +294,15 @@ def brute_force_apart(nodes, tubes):
     a, b = a[keep], b[keep]
     distance = _segment_distances(start[a], end[a], start[b], end[b])
     return bool(np.all(distance > tube[a] + tube[b]))
+
+
+def square(up):
+    """Nodes of the unit square [0, 1]^2, counterclockwise.  Its horizontal
+    sides are two segments each; each vertical side runs a quarter, ``up``
+    segments of 1 / (2 up) and a quarter, so that the segments closest to one
+    another lie on one vertical side, where every box has the same low x side."""
+    levels = np.concatenate([[0.0], 0.25 + 0.5 * np.arange(up + 1) / up])
+    return np.concatenate([1 + 1j * levels, [1 + 1j, 0.5 + 1j], 1j * (1 - levels), [0, 0.5]])
 
 
 class TestBoundaryCertificate:
@@ -454,6 +463,29 @@ class TestBoundaryCertificate:
             outcomes.append(expected)
         assert not outcomes[0] and not outcomes[1]
         assert 0.3 < np.mean(outcomes) < 0.8
+
+    @pytest.mark.parametrize("chunk", [1, 3, 17])
+    def test_sweep_blocks_match_brute_force(self, monkeypatch, chunk):
+        # blocks that end inside a box's run of pairs, or hold a single box
+        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
+        self.test_hash_matches_brute_force()
+        self.test_hash_matches_brute_force_at_certificate_scales()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 17, rouche._PAIR_CHUNK])
+    def test_sweep_matches_brute_force_on_tied_boxes(self, monkeypatch, chunk):
+        # a short vertical segment and the next but one are 1 / (2 up) apart,
+        # 0.6..1.4 times their tube sum; no other pair comes as close
+        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for _ in range(100):
+            up = int(rng.choice([4, 16, 64]))
+            tubes = np.full(2, rng.uniform(0.3, 0.7) / (2 * up))
+            nodes = np.stack([square(up), square(up) + 2])
+            expected = brute_force_apart(nodes, tubes)
+            assert _curves_apart(nodes, tubes) == expected
+            outcomes.append(expected)
+        assert 0.3 < np.mean(outcomes) < 0.9
 
     def test_segment_distances_match_dense_sampling(self):
         rng = np.random.default_rng(6)

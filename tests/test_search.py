@@ -160,6 +160,18 @@ class TestTierB:
         with pytest.raises(DomainValidationError, match="samples"):
             tier_b_search(QUARTER, 0.5, degree=4, budget=10, seed=0, samples=samples)
 
+    def test_numpy_integers_accepted_and_bools_refused(self):
+        plain = tier_b_search(QUARTER, 0.5, degree=1, budget=40, seed=1, samples=256)
+        numpy_ints = tier_b_search(QUARTER, 0.5, degree=np.int64(1), budget=40, seed=1, samples=np.int64(256))
+        assert (numpy_ints.best_value, numpy_ints.evaluations, numpy_ints.certificates) == (
+            plain.best_value, plain.evaluations, plain.certificates
+        )
+        assert numpy_ints.best_candidate.coefficients.tobytes() == plain.best_candidate.coefficients.tobytes()
+        with pytest.raises(DomainValidationError, match=r"degree must be an integer in \[0, 4\]"):
+            tier_b_search(QUARTER, 0.5, degree=True, budget=10, seed=0)
+        with pytest.raises(DomainValidationError, match="samples must be an integer >= 64"):
+            tier_b_search(QUARTER, 0.5, degree=1, budget=10, seed=0, samples=np.True_)
+
     def test_budget_exhaustion_still_returns(self):
         result = tier_b_search(QUARTER, 0.5, degree=2, budget=5, seed=0)
         assert result.budget_exhausted
