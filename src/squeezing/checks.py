@@ -277,39 +277,15 @@ def suite_rouche():
 def suite_symmetric():
     rng = np.random.default_rng(11)
     results = []
-    domains = [
-        ClassicalDomain.type_i(1, 1),
-        ClassicalDomain.type_i(2, 3),
-        ClassicalDomain.type_ii(3),
-        ClassicalDomain.type_iii(4),
-        ClassicalDomain.type_iv(3),
-    ]
+    domains = [ClassicalDomain.parse(t) for t in ("typeI:1,1", "typeI:2,3", "typeII:3", "typeIII:4", "typeIV:3")]
 
-    def origin(domain):
-        if domain.kind == "I":
-            return np.zeros(domain.params, dtype=complex)
-        if domain.kind == "IV":
-            return np.zeros(domain.params[0], dtype=complex)
-        order = domain.params[0]
-        return np.zeros((order, order), dtype=complex)
-
-    results.append(_result("symmetric", "origin-membership", all(contains(d, origin(d)) for d in domains)))
+    results.append(_result("symmetric", "origin-membership", all(contains(d, np.zeros(d.point_shape)) for d in domains)))
 
     def random_point(domain):
-        if domain.kind == "I":
-            shape = domain.params
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        elif domain.kind == "II":
-            p = domain.params[0]
-            g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            z = g + g.T
-        elif domain.kind == "III":
-            q = domain.params[0]
-            g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
-            z = g - g.T
-        else:
-            n = domain.params[0]
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        shape = domain.point_shape
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if domain.point_symmetry:
+            z = z + z.T if domain.point_symmetry > 0 else z - z.T
         while not contains(domain, z):
             z = 0.9 * z
         return z

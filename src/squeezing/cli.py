@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .certificates import BoundCertificate
 from .checks import SUITE_NAMES, run_suite
-from .errors import SqueezingError
+from .errors import DomainValidationError, SqueezingError
 from .planar import (
     Annulus,
     Excision,
@@ -116,26 +116,11 @@ def _parse_positive_int(text: str, token: str) -> int:
     return value
 
 
-_CLASSICAL = {
-    "typeI": (ClassicalDomain.type_i, 2),
-    "typeII": (ClassicalDomain.type_ii, 1),
-    "typeIII": (ClassicalDomain.type_iii, 1),
-    "typeIV": (ClassicalDomain.type_iv, 1),
-}
-
-
 def _parse_classical(token: str) -> ClassicalDomain:
-    name, _, rest = token.partition(":")
-    if name not in _CLASSICAL:
-        raise CLIError(f"unknown domain kind {name!r} in {token!r}")
-    factory, arity = _CLASSICAL[name]
-    parts = rest.split(",") if rest else []
-    if len(parts) != arity:
-        raise CLIError(f"domain {name!r} takes {arity} integer parameter(s), got {rest!r}")
     try:
-        return factory(*(_parse_positive_int(p, token) for p in parts))
-    except SqueezingError as exc:
-        raise CLIError(f"invalid parameters in {token!r}: {exc}")
+        return ClassicalDomain.parse(token)
+    except DomainValidationError as exc:
+        raise CLIError(f"invalid domain {token!r}: {exc}")
 
 
 def _parse_point(text: str, dimension: int) -> np.ndarray:

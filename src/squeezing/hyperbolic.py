@@ -14,7 +14,8 @@ complex-scalar division does not round like its array loop.
 The disc and the ball check their points in one place each for the whole
 package, ``_disc_points`` and ``_ball_point`` (the annulus in
 ``planar.Annulus.point``); both test ``not ... < 1``, so a NaN or infinite
-point raises ``DomainValidationError``.
+point raises ``DomainValidationError``.  ``_is_integer`` is the package's one
+test for an integer argument.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def bounded_metric(distance):
     disc inducing the ordinary topology.
     """
     return euclidean_radius(distance)
+
+
+def _is_integer(x) -> bool:
+    """A Python int or a numpy integer; a bool is neither."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def _disc_points(what, *points):

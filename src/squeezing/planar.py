@@ -31,6 +31,7 @@ from .hyperbolic import (
     TOLERANCE,
     _ball_point,
     _disc_points,
+    _is_integer,
     euclidean_radius,
     kobayashi_distance,
 )
@@ -293,8 +294,8 @@ class PuncturedBall:
     punctures: tuple
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainValidationError("dimension must be at least 1")
+        if not _is_integer(self.dimension) or self.dimension < 1:
+            raise DomainValidationError("dimension must be a positive integer")
         if not self.punctures:
             raise EmptyList("at least one puncture is required")
         cleaned = [_ball_point(p, self.dimension, "puncture") for p in self.punctures]

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainValidationError, GuardViolation, NonIntegerResidual
-from .hyperbolic import _disc_points
+from .hyperbolic import _disc_points, _is_integer
 from .planar import Annulus
 
 #: Minimum allowed |f| (or |f - w|) at contour samples before a count is trusted.
@@ -426,11 +426,6 @@ def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None
     np.matmul(table[:whole].reshape(-1, rows, k), vector, out=out[:whole].reshape(-1, rows))
     np.matmul(table[whole:], vector, out=out[whole:])
     return out
-
-
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _roots(p: np.ndarray) -> np.ndarray:

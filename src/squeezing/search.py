@@ -47,9 +47,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
+from .hyperbolic import _is_integer
 from .planar import Annulus, annulus_lower_bound
 from .rouche import (
-    InjectivityCertificate, _is_integer, _table_product, annulus_basis, injectivity_certificate, laurent_map
+    InjectivityCertificate, _table_product, annulus_basis, injectivity_certificate, laurent_map
 )
 
 #: Default ``samples`` of a search: its objective, its injectivity
@@ -250,9 +251,9 @@ def tier_b_search(
     point = annulus.point(p)
     if not _is_integer(degree) or not 0 <= degree <= _DEGREE_CAP:
         raise DomainValidationError(f"degree must be an integer in [0, {_DEGREE_CAP}]")
-    if budget < 1:
+    if not _is_integer(budget) or budget < 1:
         raise DomainValidationError("budget must be at least 1")
-    if seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
     if not _is_integer(samples) or samples < 64:  # the inflation below needs a fine node step
         raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")

@@ -6,25 +6,52 @@ ball in C^n cut out by 1 + |zz'|^2 - 2||z||^2 > 0 and |zz'| < 1, where
 zz' = sum z_j^2 is the non-conjugated quadratic form.  Their squeezing
 values are the exact constants r^{-1/2}, p^{-1/2}, floor(q/2)^{-1/2} and
 2^{-1/2}, with products combining as (sum s_i^{-2})^{-1/2}.
+
+The table ``_KINDS`` is the one place that knows each kind: its token and
+parameters, its dimension and constant, and the shape and symmetry of its points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .certificates import BoundCertificate
-from .errors import (
-    DomainValidationError,
-    EmptyList,
-    PunctureEvaluation,
-    ShapeMismatch,
-)
-from .hyperbolic import _ball_point
+from .errors import DomainValidationError, EmptyList, PunctureEvaluation, ShapeMismatch
+from .hyperbolic import _ball_point, _is_integer
 
-KINDS = ("I", "II", "III", "IV")
+
+class _Kind(NamedTuple):
+    """What the package knows about one kind; the callables take the params."""
+
+    name: str  # the token prefix ``describe`` prints
+    usage: str  # the error for a parameter tuple of the wrong length or order
+    arity: int
+    least: int  # smallest first parameter
+    dimension: Callable[..., int]
+    inverse_square: Callable[..., int]  # the integer m of the constant m^{-1/2}
+    point_shape: Callable[..., tuple]
+    point_symmetry: int  # +1 symmetric, -1 skew-symmetric, 0 none
+
+
+_KINDS = {
+    "I": _Kind("typeI", "type I takes (r, s) with r <= s", 2, 1,
+               lambda r, s: r * s, lambda r, s: r, lambda r, s: (r, s), 0),
+    "II": _Kind("typeII", "type II takes a single order p", 1, 1,
+                lambda p: p * (p + 1) // 2, lambda p: p, lambda p: (p, p), 1),
+    # q = 1 degenerates to a single point and floor(q/2) = 0 leaves
+    # the squeezing constant undefined.
+    "III": _Kind("typeIII", "type III takes a single order q >= 2", 1, 2,
+                 lambda q: q * (q - 1) // 2, lambda q: q // 2, lambda q: (q, q), -1),
+    # n = 1 degenerates to the unit disc, where the constant is 1,
+    # not 2^{-1/2}.
+    "IV": _Kind("typeIV", "type IV takes a single dimension n >= 2", 1, 2,
+                lambda n: n, lambda n: 2, lambda n: (n,), 0),
+}
+KINDS = tuple(_KINDS)
+_BY_NAME = {facts.name: kind for kind, facts in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -38,24 +65,15 @@ class ClassicalDomain:
         if self.kind not in KINDS:
             raise DomainValidationError(f"kind must be one of {KINDS}")
         p = self.params
-        if not all(isinstance(v, int) and v >= 1 for v in p):
-            raise DomainValidationError("parameters must be positive integers")
-        if self.kind == "I":
-            if len(p) != 2 or p[0] > p[1]:
-                raise DomainValidationError("type I takes (r, s) with r <= s")
-        elif self.kind == "II":
-            if len(p) != 1:
-                raise DomainValidationError("type II takes a single order p")
-        elif self.kind == "III":
-            # q = 1 degenerates to a single point and floor(q/2) = 0 leaves
-            # the squeezing constant undefined.
-            if len(p) != 1 or p[0] < 2:
-                raise DomainValidationError("type III takes a single order q >= 2")
-        else:
-            # n = 1 degenerates to the unit disc, where the constant is 1,
-            # not 2^{-1/2}.
-            if len(p) != 1 or p[0] < 2:
-                raise DomainValidationError("type IV takes a single dimension n >= 2")
+        if not all(type(v) is int and v >= 1 for v in p):  # the common case, without a call per value
+            if not all(_is_integer(v) and v >= 1 for v in p):
+                raise DomainValidationError("parameters must be positive integers")
+            p = tuple(map(int, p))  # numpy integers are stored as Python ints
+            object.__setattr__(self, "params", p)
+        facts = _KINDS[self.kind]
+        # p[0] > p[-1] is type I's r > s and never holds for one parameter
+        if len(p) != facts.arity or p[0] < facts.least or p[0] > p[-1]:
+            raise DomainValidationError(facts.usage)
 
     @classmethod
     def type_i(cls, r: int, s: int) -> "ClassicalDomain":
@@ -73,34 +91,39 @@ class ClassicalDomain:
     def type_iv(cls, n: int) -> "ClassicalDomain":
         return cls("IV", (n,))
 
+    @classmethod
+    def parse(cls, token: str) -> "ClassicalDomain":
+        """The domain whose ``describe()`` is ``token``, such as ``typeI:2,3``."""
+        name, _, rest = token.partition(":")
+        if name not in _BY_NAME:
+            raise DomainValidationError(f"unknown domain kind {name!r}")
+        try:
+            params = tuple(int(text) for text in rest.split(",")) if rest else ()
+        except ValueError:
+            raise DomainValidationError(f"parameters must be integers, got {rest!r}") from None
+        return cls(_BY_NAME[name], params)
+
     @property
     def complex_dimension(self) -> int:
-        if self.kind == "I":
-            r, s = self.params
-            return r * s
-        if self.kind == "II":
-            (p,) = self.params
-            return p * (p + 1) // 2
-        if self.kind == "III":
-            (q,) = self.params
-            return q * (q - 1) // 2
-        (n,) = self.params
-        return n
+        return _KINDS[self.kind].dimension(*self.params)
 
     @property
     def inverse_square_constant(self) -> int:
         """The integer m with squeezing constant m^{-1/2}."""
-        if self.kind == "I":
-            return self.params[0]
-        if self.kind == "II":
-            return self.params[0]
-        if self.kind == "III":
-            return self.params[0] // 2
-        return 2
+        return _KINDS[self.kind].inverse_square(*self.params)
+
+    @property
+    def point_shape(self) -> tuple:
+        """The array shape of a point: (r, s), (p, p), (q, q) or (n,)."""
+        return _KINDS[self.kind].point_shape(*self.params)
+
+    @property
+    def point_symmetry(self) -> int:
+        """+1 if points are symmetric matrices, -1 if skew-symmetric, else 0."""
+        return _KINDS[self.kind].point_symmetry
 
     def describe(self) -> str:
-        name = {"I": "typeI", "II": "typeII", "III": "typeIII", "IV": "typeIV"}[self.kind]
-        return name + ":" + ",".join(str(v) for v in self.params)
+        return _KINDS[self.kind].name + ":" + ",".join(map(str, self.params))
 
 
 def _positive_definite(hermitian: np.ndarray) -> bool:
@@ -117,39 +140,20 @@ def _positive_definite(hermitian: np.ndarray) -> bool:
     return bool(factor[-1, -1].real > 0.0)
 
 
-def _matrix_point(domain: ClassicalDomain, point) -> np.ndarray:
-    z = np.asarray(point, dtype=complex)
-    if domain.kind == "I":
-        r, s = domain.params
-        if z.shape != (r, s):
-            raise ShapeMismatch(f"type I point must be a {r}x{s} matrix, got shape {z.shape}")
-    elif domain.kind == "II":
-        (p,) = domain.params
-        if z.shape != (p, p):
-            raise ShapeMismatch(f"type II point must be a {p}x{p} matrix, got shape {z.shape}")
-        if not np.array_equal(z, z.T):
-            raise ShapeMismatch("type II point must be exactly symmetric")
-    else:
-        (q,) = domain.params
-        if z.shape != (q, q):
-            raise ShapeMismatch(f"type III point must be a {q}x{q} matrix, got shape {z.shape}")
-        if not np.array_equal(z, -z.T):
-            raise ShapeMismatch("type III point must be exactly skew-symmetric")
-    return z
-
-
 def contains(domain: ClassicalDomain, point) -> bool:
     """Strict membership of ``point`` in the given classical domain; exact
     boundary ties of types I-III are decided by rounding, not always outside
     (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside).
     A point with a NaN or infinite entry is outside."""
-    if domain.kind == "IV":
-        z = np.asarray(point, dtype=complex)
-        (n,) = domain.params
-        if z.shape != (n,):
-            raise ShapeMismatch(f"type IV point must be a complex {n}-vector, got shape {z.shape}")
-    else:
-        z = _matrix_point(domain, point)
+    z = np.asarray(point, dtype=complex)
+    shape, symmetry = domain.point_shape, domain.point_symmetry
+    if z.shape != shape:
+        what = f"a {shape[0]}x{shape[1]} matrix" if len(shape) == 2 else f"a complex {shape[0]}-vector"
+        raise ShapeMismatch(f"type {domain.kind} point must be {what}, got shape {z.shape}")
+    # z.T or -z.T: symmetry * z.T would warn on an infinite entry (inf * 0)
+    if symmetry and not np.array_equal(z, z.T if symmetry > 0 else -z.T):
+        what = "symmetric" if symmetry > 0 else "skew-symmetric"
+        raise ShapeMismatch(f"type {domain.kind} point must be exactly {what}")
     if not np.isfinite(z).all():  # before any product, where an infinite entry warns (inf * 0)
         return False
     if domain.kind == "IV":

@@ -61,6 +61,15 @@ class TestExact:
         assert code == 2
         assert "typeI:3,2" in err
 
+    @pytest.mark.parametrize("domain, named", [
+        ("typeI:2", "typeI:2"), ("typeII:", "typeII:"), ("typeII:x", "typeII:x"), ("typeI:1,2,3", "typeI:1,2,3"),
+        ("typeIII:1", "typeIII:1"), ("product:typeIV:3+typeI:1", "typeI:1"),
+    ])
+    def test_malformed_classical_token_named(self, capsys, domain, named):
+        code, out, err = run_cli(capsys, "exact", "--domain", domain)
+        assert (code, out) == (2, "")
+        assert repr(named) in err
+
     def test_csv_agrees_with_json(self, capsys):
         _, json_out, _ = run_cli(capsys, "exact", "--domain", "typeI:2,3")
         _, csv_out, _ = run_cli(capsys, "exact", "--domain", "typeI:2,3", "--out", "csv")

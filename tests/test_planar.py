@@ -306,6 +306,17 @@ class TestPuncturedUpperBound:
         with pytest.raises(DomainValidationError):
             PuncturedBall(2, (np.zeros(2), np.zeros(2)))
 
+    @pytest.mark.parametrize("dimension", [True, np.True_, 1.5, 2.0, 0, -1])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        # True was a 1-ball and 1.5 raised ShapeMismatch ("complex 1.5-vector")
+        with pytest.raises(DomainValidationError, match="dimension must be a positive integer"):
+            PuncturedBall(dimension, (np.zeros(1),))
+
+    def test_numpy_integer_dimension(self):
+        z = np.array([0.25, 0.1])
+        numpy_dim = punctured_domain_upper_bound(PuncturedBall(np.int64(2), (np.zeros(2),)), z)
+        assert numpy_dim == punctured_domain_upper_bound(PuncturedBall(2, (np.zeros(2),)), z)
+
 
 class TestCaratheodoryEstimate:
     def test_disc_center(self):

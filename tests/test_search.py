@@ -172,6 +172,22 @@ class TestTierB:
         with pytest.raises(DomainValidationError, match="samples must be an integer >= 64"):
             tier_b_search(QUARTER, 0.5, degree=1, budget=10, seed=0, samples=np.True_)
 
+    def test_budget_and_seed_are_integers(self):
+        plain = tier_b_search(QUARTER, 0.5, degree=1, budget=40, seed=1, samples=256)
+        numpy_ints = tier_b_search(QUARTER, 0.5, degree=1, budget=np.int64(40), seed=np.int64(1), samples=256)
+        assert (numpy_ints.best_value, numpy_ints.evaluations, numpy_ints.certificates, numpy_ints.seed) == (
+            plain.best_value, plain.evaluations, plain.certificates, plain.seed
+        )
+        assert numpy_ints.best_candidate.coefficients.tobytes() == plain.best_candidate.coefficients.tobytes()
+        # 10.5 ran 11 evaluations, True ran 1 and seed True was reported as True
+        for budget in (10.5, True, np.True_, 40.0):
+            with pytest.raises(DomainValidationError, match="budget must be at least 1"):
+                tier_b_search(QUARTER, 0.5, degree=1, budget=budget, seed=0, samples=256)
+        # 1.5 reached numpy's SeedSequence and raised TypeError there
+        for seed in (1.5, True, np.False_, 0.0):
+            with pytest.raises(DomainValidationError, match="seed must be a non-negative integer"):
+                tier_b_search(QUARTER, 0.5, degree=1, budget=10, seed=seed, samples=256)
+
     def test_budget_exhaustion_still_returns(self):
         result = tier_b_search(QUARTER, 0.5, degree=2, budget=5, seed=0)
         assert result.budget_exhausted

@@ -37,6 +37,57 @@ class TestDomainValidation:
         assert ClassicalDomain.type_iv(5).complex_dimension == 5
 
 
+class TestParse:
+    def test_parse_inverts_describe(self):
+        domains = [ClassicalDomain.type_i(r, s) for r in range(1, 6) for s in range(r, 9)]
+        domains += [ClassicalDomain.type_ii(p) for p in range(1, 9)]
+        domains += [ClassicalDomain.type_iii(q) for q in range(2, 10)]
+        domains += [ClassicalDomain.type_iv(n) for n in range(2, 10)]
+        for domain in domains:
+            parsed = ClassicalDomain.parse(domain.describe())
+            assert parsed == domain and hash(parsed) == hash(domain)
+            assert parsed.describe() == domain.describe()
+
+    @pytest.mark.parametrize("token", [
+        "typeV:2", "TypeI:1,1", "type1:1", "", ":2",  # unknown kind
+        "typeI:2", "typeII:2,2", "typeIV:3,3", "typeI:1,2,3",  # wrong arity
+        "typeI:3,2", "typeI:6,5",  # r > s
+        "typeIII:1",  # q = 1
+        "typeIV:1",  # n = 1
+        "typeII:x", "typeII:1.5", "typeI:1,", "typeI:,1", "typeIV:2e0",  # not an integer
+        "typeII:0", "typeIII:-4",  # not positive
+        "typeII:", "typeII", "typeI:",  # empty parameter list
+    ])
+    def test_malformed_token_refused(self, token):
+        with pytest.raises(DomainValidationError):
+            ClassicalDomain.parse(token)
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, 1.5, np.float64(3.0), "3", None])
+    def test_non_integer_refused(self, value):
+        with pytest.raises(DomainValidationError, match="parameters must be positive integers"):
+            ClassicalDomain.type_ii(value)
+        with pytest.raises(DomainValidationError, match="parameters must be positive integers"):
+            ClassicalDomain.type_i(1, value)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        domain = ClassicalDomain.type_i(np.int64(2), np.int32(3))
+        assert domain == ClassicalDomain.type_i(2, 3) and hash(domain) == hash(ClassicalDomain.type_i(2, 3))
+        assert [type(v) for v in domain.params] == [int, int]
+        assert domain.describe() == "typeI:2,3"
+        witness = kubota_constant(ClassicalDomain.type_ii(np.int64(3))).witness
+        assert witness == {"domain": "typeII:3", "inverse_square": 3}
+        assert type(witness["inverse_square"]) is int
+
+    def test_point_shape_and_symmetry(self):
+        domains = [ClassicalDomain.type_i(2, 3), ClassicalDomain.type_ii(3),
+                   ClassicalDomain.type_iii(4), ClassicalDomain.type_iv(5)]
+        assert [(d.point_shape, d.point_symmetry) for d in domains] == [
+            ((2, 3), 0), ((3, 3), 1), ((4, 4), -1), ((5,), 0)
+        ]
+
+
 class TestMembership:
     def test_origin_in_every_domain(self):
         assert contains(ClassicalDomain.type_i(2, 3), np.zeros((2, 3)))
