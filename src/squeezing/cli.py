@@ -176,7 +176,11 @@ def cmd_exact(args) -> int:
         factors = token[len("product:"):].split("+")
         if not factors or factors == [""]:
             raise CLIError(f"empty product in {token!r}")
-        certificate = product_constant([_parse_classical(f) for f in factors])
+        domains = [_parse_classical(f) for f in factors]
+        try:
+            certificate = product_constant(domains)
+        except DomainValidationError as exc:  # a constant below the least normal double
+            raise CLIError(f"invalid domain {token!r}: {exc}")
         _emit_record(_record(token, None, certificate), args.out)
         return 0
     if token.startswith("ball:"):
@@ -192,7 +196,11 @@ def cmd_exact(args) -> int:
         certificate = punctured_ball_squeezing(point, n)
         _emit_record(_record(token, _serialize_point(point), certificate), args.out)
         return 0
-    certificate = kubota_constant(_parse_classical(token))
+    domain = _parse_classical(token)
+    try:
+        certificate = kubota_constant(domain)
+    except DomainValidationError as exc:  # a constant below the least normal double
+        raise CLIError(f"invalid domain {token!r}: {exc}")
     _emit_record(_record(token, None, certificate), args.out)
     return 0
 

@@ -18,8 +18,14 @@ certified from its two boundary curves: no critical point in the annulus
 (located by ``np.roots``), and simple, disjoint image curves, each checked
 against bounds computed from the coefficients (see
 ``injectivity_certificate``); its cost depends on the sample count only.
-One sampler, ``annulus_basis``, builds the power table of both boundary
-circles, here and in ``search``.  Any other map is inconclusive.
+Disjointness is tested on the segment pairs whose tube-widened boxes
+overlap.  Sorted by their low x side, the later boxes that overlap a box on
+x directly follow it, with no gap, so the pairs at each offset up to
+``_OFFSETS`` are two contiguous slices, curve neighbours are told apart by
+each segment's successor, and only the boxes that overlap more go on in
+blocks: every overlapping pair is listed exactly once.  One sampler,
+``annulus_basis``, builds the power table of both boundary circles, here and
+in ``search``.  Any other map is inconclusive.
 "inconclusive" is an allowed terminal state, reported with the test that
 failed, and consumers must treat it as unusable, never as a certification.
 """
@@ -52,6 +58,10 @@ _DOMINANCE_SAFETY = 1.05
 #: Segment pairs the boundary certificate builds and measures at once, unless
 #: one segment alone overlaps more on x.
 _PAIR_CHUNK = 2 ** 14
+
+#: Offsets in x order that the boundary certificate tests over all segment
+#: boxes at once; a box that overlaps more boxes on x goes on in blocks.
+_OFFSETS = 6
 
 
 @dataclass(frozen=True)
@@ -341,20 +351,30 @@ def _curves_apart(nodes, tubes) -> bool:
     except a segment and its two neighbours on the same polygon.
 
     Segment j of row i runs from nodes[i, j] to nodes[i, j + 1 mod n] and has
-    tube tubes[i].  A segment whose squared length is 0, infinite or NaN
-    cannot be measured, so it fails at once.  Two segments whose boxes, each
-    widened by its own tube, are apart on x or on y are farther apart than
-    their tubes; on the certificate's curves, rounding the box sides costs a
-    few ulps of |T| <= sum |c_k| rho^k, far inside the rounding allowance
-    that each tube already carries.  Sorted once by their low x side, each
-    box is paired with the later boxes whose low x side lies inside its
-    x-range: two boxes that overlap on x have the later one's low x side
-    inside the earlier one's x-range, so no overlapping pair is missed.
-    Blocks of at most _PAIR_CHUNK pairs (or of one box's pairs) drop the
-    pairs apart on y and the neighbours and measure the rest, so memory
-    stays O(nodes); the walk stops at the first block with a pair too close.
+    tube tubes[i], a finite number >= 0.  A segment whose squared length is
+    0, infinite or NaN cannot be measured, so it fails at once.  Two segments
+    whose boxes, each widened by its own tube, are apart on x or on y are
+    farther apart than their tubes; on the certificate's curves, rounding the
+    box sides costs a few ulps of |T| <= sum |c_k| rho^k, far inside the
+    rounding allowance that each tube already carries.
+
+    The boxes are sorted once by their low x side.  In that order a box at
+    position i overlaps on x a later box at i + d exactly when
+    lx[i + d] <= hx[i] (the later box's low x side is at least lx[i]), and
+    since lx only grows, the boxes it overlaps on x are those at offsets
+    1..count[i], with no gap.  So every pair that overlaps on x is listed
+    exactly once: offsets 1.._OFFSETS are tested over the whole order at
+    once, each as two contiguous slices, and only the boxes that still
+    overlap on x at offset _OFFSETS go on to their offsets
+    _OFFSETS + 1..count[i], in blocks of at most _PAIR_CHUNK pairs (or of one
+    box's pairs), so memory stays O(nodes).  Each listed pair apart on y is
+    dropped, and so is each pair of curve neighbours: ``successor`` holds the
+    position of the next segment on the same curve, and two segments are
+    neighbours when either one is the other's successor.  The rest are
+    measured; the walk stops at the first offset or block with a pair too
+    close.
     """
-    n = nodes.shape[1]
+    rows, n = nodes.shape
     start = nodes.ravel()
     end = np.roll(nodes, -1, axis=1).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,30 +385,48 @@ def _curves_apart(nodes, tubes) -> bool:
     boxes = []
     for a, b in ((start.real, end.real), (start.imag, end.imag)):
         boxes += [np.minimum(a, b) - tube, np.maximum(a, b) + tube]
-    segment = np.argsort(boxes[0])
+    # any order by low x lists the same pairs; a stable sort is the fastest,
+    # as the boxes arrive in a few monotone runs along each curve
+    segment = np.argsort(boxes[0], kind="stable")
     lx, hx, ly, hy = (side[segment] for side in boxes)
     del boxes
-    # in this order box i overlaps on x the count[i] boxes after it; pair g
-    # of the walk belongs to the box i with ends[i - 1] <= g < ends[i], and
-    # its later box is g + shift[i]
-    later = np.arange(1, len(lx) + 1)
-    count = np.searchsorted(lx, hx, side="right") - later
+    size = len(segment)
+    position = np.arange(size)
+    rank = np.empty_like(position)
+    rank[segment] = position
+    # successor[i]: the position of the segment after segment[i] on its curve
+    successor = rank[np.roll(position.reshape(rows, n), -1, axis=1).ravel()[segment]]
+
+    def apart(a, b, near):
+        """Whether the pairs (a, b) of sorted positions (slices or arrays)
+        that ``near`` marks, and that are neither apart on y nor neighbours,
+        are farther apart than their tubes."""
+        near &= ~((hy[a] < ly[b]) | (hy[b] < ly[a]))
+        near &= (successor[a] != position[b]) & (successor[b] != position[a])
+        p, q = segment[a][near], segment[b][near]
+        return not len(p) or np.all(_segment_distances(start[p], end[p], start[q], end[q]) > tube[p] + tube[q])
+
+    for d in range(1, min(_OFFSETS, size - 1) + 1):
+        a, b = slice(0, size - d), slice(d, size)
+        if not apart(a, b, lx[b] <= hx[a]):
+            return False
+    # the boxes that overlap on x the box _OFFSETS after them; the count[i]
+    # pairs of busy[i] are its offsets _OFFSETS + 1.. in order, pair g of
+    # the walk belongs to busy[i] with ends[i - 1] <= g < ends[i], and its
+    # later box is g + shift[i]
+    busy = np.flatnonzero(lx[_OFFSETS:] <= hx[: max(size - _OFFSETS, 0)])
+    first = busy + _OFFSETS + 1
+    count = np.searchsorted(lx, hx[busy], side="right") - first
     ends = np.cumsum(count)
-    shift = later - (ends - count)
+    shift = first - (ends - count)
     box = done = 0
-    while box < len(lx):
-        # the pairs of boxes box..stop - 1: at most _PAIR_CHUNK, or one box's
+    while box < len(busy):
+        # the pairs of busy[box:stop]: at most _PAIR_CHUNK, or one box's
         stop = max(box + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
-        a = np.repeat(np.arange(box, stop), count[box:stop])
-        b = np.arange(done, ends[stop - 1]) + shift[a]
+        k = np.repeat(np.arange(box, stop), count[box:stop])
+        b = np.arange(done, ends[stop - 1]) + shift[k]
         box, done = stop, ends[stop - 1]
-        near = ~((hy[a] < ly[b]) | (hy[b] < ly[a]))
-        p, q = segment[a[near]], segment[b[near]]
-        gap = (p - q) % n
-        far = ~((p // n == q // n) & ((gap == 1) | (gap == n - 1)))
-        p, q = p[far], q[far]
-        distance = _segment_distances(start[p], end[p], start[q], end[q])
-        if not np.all(distance > tube[p] + tube[q]):
+        if not apart(busy[k], b, np.ones(len(b), dtype=bool)):
             return False
     return True
 
@@ -556,11 +594,15 @@ def injectivity_certificate(
         numbers are exact, and they must agree;
     (b) every segment has a positive, finite squared length, and every two
         segments that are not neighbours on one curve, and every pair across
-        the two curves, lie farther apart than their two tubes.  The
-        tube-widened segment boxes, sorted once by their low x side, give
-        every pair that overlaps on x, and a pair whose boxes are apart on
-        y is apart without being measured (the box sides round by ulps of
-        |T|, far inside the tubes' rounding allowance); memory stays
+        the two curves, lie farther apart than their two tubes.  Only pairs
+        whose tube-widened boxes overlap are measured: a pair whose boxes
+        are apart on x or on y is apart (the box sides round by ulps of
+        |T|, far inside the tubes' rounding allowance).  Sorted once by
+        their low x side, a box overlaps on x exactly the boxes at offsets
+        1..count after it, as lx only grows, so slices at offsets 1 to
+        ``_OFFSETS`` followed by blocks for the boxes with a larger count
+        list every such pair once; the neighbours are the pairs in which
+        one segment is the other's successor on its curve.  Memory stays
         O(samples).
     A crossing found this way is only ever inconclusive, never a refutation.
 

@@ -13,6 +13,7 @@ parameters, its dimension and constant, and the shape and symmetry of its points
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -165,11 +166,39 @@ def contains(domain: ClassicalDomain, point) -> bool:
     return _positive_definite(h)
 
 
+def _huge_inverse_sqrt(m: int) -> float:
+    """m^{-1/2} rounded to nearest, for an integer m too large for a float.
+
+    floor(2^k / sqrt(m)) = isqrt(floor(4^k / m)) holds exactly in integers,
+    and k puts it in [2^62, 2^63].  Setting its last bit when the root is
+    inexact (rounding to odd) makes the one rounding to 53 bits in float()
+    round the exact value to nearest.  A value below the least normal double
+    2^-1022 (m > 2^2044) is refused with DomainValidationError, as it would
+    lose bits.
+    """
+    if m > 1 << 2044:
+        raise DomainValidationError("the squeezing constant m^(-1/2) is below the least normal double: m > 2^2044")
+    k = 62 + (m.bit_length() + 1) // 2
+    root = math.isqrt((1 << 2 * k) // m)
+    if root * root * m != 1 << 2 * k:
+        root |= 1
+    return math.ldexp(float(root), -k)
+
+
 def kubota_constant(domain: ClassicalDomain) -> BoundCertificate:
-    """Exact squeezing value of a classical domain: m^{-1/2} with integer m."""
+    """Exact squeezing value of a classical domain: m^{-1/2} with integer m.
+
+    The value is ``m ** -0.5`` wherever float(m) is finite (m below about
+    1.8e308); beyond, it is m^{-1/2} rounded to nearest, computed from the
+    integer (see ``_huge_inverse_sqrt``, which refuses an m above 2^2044).
+    """
     m = domain.inverse_square_constant
+    try:
+        value = m ** -0.5
+    except OverflowError:  # float(m) is infinite
+        value = _huge_inverse_sqrt(m)
     return BoundCertificate(
-        value=m ** -0.5,
+        value=value,
         tag="exact",
         method="kubota",
         witness={"domain": domain.describe(), "inverse_square": m},
@@ -181,14 +210,19 @@ def product_constant(domains: Sequence[ClassicalDomain]) -> BoundCertificate:
 
     The inverse squares are integers, so the sum is exact; the result is at
     most the smallest factor constant, strictly below it for two or more
-    factors.
+    factors.  As in ``kubota_constant``, a sum too large for a float is
+    computed from the integer, and one above 2^2044 is refused.
     """
     factors = list(domains)
     if not factors:
         raise EmptyList("product requires at least one factor domain")
     total = sum(d.inverse_square_constant for d in factors)
+    try:
+        value = total ** -0.5
+    except OverflowError:  # float(total) is infinite
+        value = _huge_inverse_sqrt(total)
     return BoundCertificate(
-        value=total ** -0.5,
+        value=value,
         tag="exact",
         method="kubota-product",
         witness={

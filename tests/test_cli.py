@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +66,33 @@ class TestExact:
     @pytest.mark.parametrize("domain, named", [
         ("typeI:2", "typeI:2"), ("typeII:", "typeII:"), ("typeII:x", "typeII:x"), ("typeI:1,2,3", "typeI:1,2,3"),
         ("typeIII:1", "typeIII:1"), ("product:typeIV:3+typeI:1", "typeI:1"),
+        # constants below the least normal double
+        ("typeII:" + str(2 ** 2044 + 1),) * 2,
+        ("product:typeIV:3+typeII:" + str(2 ** 2044 - 1),) * 2,
     ])
     def test_malformed_classical_token_named(self, capsys, domain, named):
         code, out, err = run_cli(capsys, "exact", "--domain", domain)
         assert (code, out) == (2, "")
         assert repr(named) in err
+
+    @pytest.mark.parametrize("domain, inverse_square", [
+        ("typeII:" + "9" * 400, 10 ** 400 - 1),
+        ("product:typeI:1,1+typeII:" + "9" * 400, 10 ** 400),
+        ("typeIII:" + str(2 ** 2045), 2 ** 2044),  # the least normal double, 2^-1022
+    ])
+    def test_parameters_past_float_range(self, capsys, domain, inverse_square):
+        for out in ("json", "csv"):
+            code, text, err = run_cli(capsys, "exact", "--domain", domain, "--out", out)
+            assert (code, err) == (0, "")
+            if out == "csv":
+                rows = list(csv.reader(io.StringIO(text)))
+                value = float(rows[1][rows[0].index("value")])
+            else:
+                value = json.loads(text)["value"]
+            # the exact m^{-1/2} lies strictly between value's midpoints to its neighbours
+            low = (Fraction(value) + Fraction(math.nextafter(value, 0.0))) / 2
+            high = (Fraction(value) + Fraction(math.nextafter(value, 1.0))) / 2
+            assert low * low * inverse_square < 1 < high * high * inverse_square, out
 
     def test_csv_agrees_with_json(self, capsys):
         _, json_out, _ = run_cli(capsys, "exact", "--domain", "typeI:2,3")
@@ -391,6 +415,9 @@ def test_degree_zero_search_at_subnormal_radius(capsys):
         # options the mode does not read are named, not ignored
         ("exact", "--domain", "typeI:2,3", "--point", "nan"),
         ("bound", "--annulus", "0.25", "--rho", "0.5", "--point", "x"),
+        # constants below the least normal double
+        ("exact", "--domain", "typeII:" + str(2 ** 2044 + 1)),
+        ("exact", "--domain", "product:typeIV:3+typeII:" + str(2 ** 2044 - 1)),
     ],
 )
 def test_invalid_input_exits_two_without_traceback(argv):

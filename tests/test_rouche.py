@@ -283,7 +283,17 @@ def joukowski(lam):
 
 
 def brute_force_apart(nodes, tubes):
-    """Reference for _curves_apart: every segment pair, no box filter."""
+    """Reference for _curves_apart: every segment pair, no box filter.  The
+    walk's tests rerun the same draws under several settings of the walk, so
+    each draw's outcome is computed once and kept by the draw's bytes."""
+    nodes, tubes = np.asarray(nodes, dtype=complex), np.asarray(tubes, dtype=float)
+    return _brute_force_apart(nodes.shape, nodes.tobytes(), tubes.tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_force_apart(shape, node_bytes, tube_bytes):
+    nodes = np.frombuffer(node_bytes, dtype=complex).reshape(shape)
+    tubes = np.frombuffer(tube_bytes, dtype=float)
     rows, n = nodes.shape
     start = nodes.ravel()
     end = np.roll(nodes, -1, axis=1).ravel()
@@ -487,6 +497,17 @@ class TestBoundaryCertificate:
             outcomes.append(expected)
         assert 0.3 < np.mean(outcomes) < 0.9
 
+    # _OFFSETS = 1 or 2 sends most pairs through the blocks; 10**6 lists every
+    # pair from the slices, as no box overlaps that many boxes on x
+    @pytest.mark.parametrize("chunk", [1, 17])
+    @pytest.mark.parametrize("offsets", [1, 2, 10 ** 6])
+    def test_slices_and_blocks_match_brute_force(self, monkeypatch, offsets, chunk):
+        monkeypatch.setattr(rouche, "_OFFSETS", offsets)
+        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
+        self.test_hash_matches_brute_force()
+        self.test_hash_matches_brute_force_at_certificate_scales()
+        self.test_sweep_matches_brute_force_on_tied_boxes(monkeypatch, chunk)
+
     def test_segment_distances_match_dense_sampling(self):
         rng = np.random.default_rng(6)
         p1, q1, p2, q2 = rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))
@@ -499,6 +520,78 @@ class TestBoundaryCertificate:
             spacing = (abs(q1[i] - p1[i]) + abs(q2[i] - p2[i])) / 400
             assert distance[i] - 1e-12 <= sampled <= distance[i] + spacing
         assert np.count_nonzero(distance == 0.0) > 25
+
+
+def corpus_map(name, r):
+    """A map of the pinned corpus at inner radius r; lam = r^2 e^(0.7i)."""
+    lam = r * r * np.exp(0.7j)
+    return laurent_map({
+        "z": [0, 0, 1],
+        "c/z": [r * (0.6 + 0.3j), 0, 0],
+        "z + eps z^2": [0, 0, 0, 1, 0.25 + 0.1j],
+        "z + 0.5 lam/z": [0.5 * lam, 0, 1],
+        "z + 1.02 lam/z": [1.02 * lam, 0, 1],
+        "z + 1.5 lam/z": [1.5 * lam, 0, 1],
+        "z^3": [0, 0, 0, 0, 0, 0, 1],
+    }[name])
+
+
+# (map, r, samples, status, reason, critical_points, min_boundary_modulus, tube)
+CORPUS_OUTCOMES = [
+    ("z", 0.25, 512, "certified", None, 0, 0.25, 4.706195115204505e-06),
+    ("z", 0.25, 1024, "certified", None, 0, 0.25, 1.1765495288011263e-06),
+    ("z", 0.25, 2048, "certified", None, 0, 0.25, 2.9413813220028153e-07),
+    ("c/z", 0.25, 512, "certified", None, 0, 0.16770509831248423, 3.1570116578924185e-06),
+    ("c/z", 0.25, 1024, "certified", None, 0, 0.16770509831248423, 7.892534175883995e-07),
+    ("c/z", 0.25, 2048, "certified", None, 0, 0.16770509831248423, 1.9731385751239482e-07),
+    ("z + eps z^2", 0.25, 512, "certified", None, 0, 0.2974451992493164, 9.774921569411306e-06),
+    ("z + eps z^2", 0.25, 1024, "certified", None, 0, 0.29744272403913846, 2.4437313442965066e-06),
+    ("z + eps z^2", 0.25, 2048, "certified", None, 0, 0.29744272403913846, 6.10933788017807e-07),
+    ("z + 0.5 lam/z", 0.25, 512, "certified", None, 0, 0.20351165804422425, 4.853263712554646e-06),
+    ("z + 0.5 lam/z", 0.25, 1024, "certified", None, 0, 0.20351165804422425, 1.2133167015761614e-06),
+    ("z + 0.5 lam/z", 0.25, 2048, "certified", None, 0, 0.20351165804422425, 3.0332994883154037e-07),
+    ("z + 1.02 lam/z", 0.25, 512, "refuted", None, 2, np.inf, None),
+    ("z + 1.02 lam/z", 0.25, 1024, "refuted", None, 2, np.inf, None),
+    ("z + 1.02 lam/z", 0.25, 2048, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.25, 512, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.25, 1024, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.25, 2048, "refuted", None, 2, np.inf, None),
+    ("z^3", 0.25, 512, "refuted", None, 0, 0.109375, None),
+    ("z^3", 0.25, 1024, "refuted", None, 0, 0.109375, None),
+    ("z^3", 0.25, 2048, "refuted", None, 0, 0.109375, None),
+    ("z", 0.5, 512, "certified", None, 0, 0.20710678118654757, 4.706195115204505e-06),
+    ("z", 0.5, 1024, "certified", None, 0, 0.20710678118654757, 1.1765495288011263e-06),
+    ("z", 0.5, 2048, "certified", None, 0, 0.20710678118654757, 2.9413813220028153e-07),
+    ("c/z", 0.5, 512, "certified", None, 0, 0.1389314524002884, 3.1570116578924185e-06),
+    ("c/z", 0.5, 1024, "certified", None, 0, 0.1389314524002884, 7.892534175883995e-07),
+    ("c/z", 0.5, 2048, "certified", None, 0, 0.1389314524002884, 1.9731385751239482e-07),
+    ("z + eps z^2", 0.5, 512, "certified", None, 0, 0.2707563432300416, 9.774921569411306e-06),
+    ("z + eps z^2", 0.5, 1024, "certified", None, 0, 0.27074948381572345, 2.4437313442965066e-06),
+    ("z + eps z^2", 0.5, 2048, "certified", None, 0, 0.27074948381572345, 6.10933788017807e-07),
+    ("z + 0.5 lam/z", 0.5, 512, "certified", None, 0, 0.15686116555152615, 5.294469504605068e-06),
+    ("z + 0.5 lam/z", 0.5, 1024, "certified", None, 0, 0.1568594981405686, 1.323618219901267e-06),
+    ("z + 0.5 lam/z", 0.5, 2048, "certified", None, 0, 0.15685885634292515, 3.3090539872531677e-07),
+    ("z + 1.02 lam/z", 0.5, 512, "refuted", None, 2, np.inf, None),
+    ("z + 1.02 lam/z", 0.5, 1024, "refuted", None, 2, np.inf, None),
+    ("z + 1.02 lam/z", 0.5, 2048, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.5, 512, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.5, 1024, "refuted", None, 2, np.inf, None),
+    ("z + 1.5 lam/z", 0.5, 2048, "refuted", None, 2, np.inf, None),
+    ("z^3", 0.5, 512, "refuted", None, 0, 0.22855339059327384, None),
+    ("z^3", 0.5, 1024, "refuted", None, 0, 0.22855339059327384, None),
+    ("z^3", 0.5, 2048, "refuted", None, 0, 0.22855339059327384, None),
+]
+
+
+class TestCertificateCorpus:
+    def test_outcomes_are_pinned(self):
+        # the last bits of the modulus and the tube follow the BLAS build
+        for name, r, samples, status, reason, critical, modulus, tube in CORPUS_OUTCOMES:
+            case = (name, r, samples)
+            cert = injectivity_certificate(corpus_map(name, r), r, samples=samples)
+            assert (cert.status, cert.reason, cert.critical_points) == (status, reason, critical), case
+            assert cert.min_boundary_modulus == pytest.approx(modulus, rel=1e-12), case
+            assert cert.tube == (tube if tube is None else pytest.approx(tube, rel=1e-12)), case
 
 
 MILD = laurent_map([0.01, 0.05j, 0.02, 1.0, 0.1 - 0.03j])

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -227,6 +231,59 @@ class TestConstants:
                 assert value == 1.0
             else:
                 assert value < 1.0 or domain.params[0] == 1
+
+
+def rounds_inverse_sqrt(m: int, value: float) -> bool:
+    """True iff ``value`` is m^{-1/2} rounded to nearest: the exact root lies
+    strictly between the midpoints to value's two neighbours (m^{-1/2} is
+    never such a midpoint, which has 54 significant bits)."""
+    low = (Fraction(value) + Fraction(math.nextafter(value, 0.0))) / 2
+    high = (Fraction(value) + Fraction(math.nextafter(value, 1.0))) / 2
+    return low * low * m < 1 < high * high * m
+
+
+class TestHugeParameters:
+    # past 2^1024, float(m) overflows; up to 2^2044 the constant is normal
+    @staticmethod
+    def huge_inverse_squares():
+        rng = random.Random(3)
+        edges = [2 ** 1024 - 1, 2 ** 1024, 2 ** 1024 + 1, 10 ** 400 - 1, 4 ** 600, 2 ** 2044 - 1, 2 ** 2044]
+        draws = [rng.randrange(2 ** 1024, 2 ** 2044) for _ in range(200)]
+        # beside the rounding midpoints (2 t + 1) 2^-(53 + e) of the constant
+        for _ in range(100):
+            mid = Fraction(2 * rng.randrange(2 ** 52, 2 ** 53) + 1, 2 ** (53 + rng.randrange(513, 1021)))
+            m = int(1 / (mid * mid))
+            draws += [m, m + 1]
+        return edges + draws
+
+    def test_constant_is_rounded_to_nearest(self):
+        for m in self.huge_inverse_squares():
+            value = kubota_constant(ClassicalDomain.type_ii(m)).value
+            assert rounds_inverse_sqrt(m, value), m
+        assert kubota_constant(ClassicalDomain.type_ii(4 ** 600)).value == 2.0 ** -600
+        assert kubota_constant(ClassicalDomain.type_iii(2 ** 2045 + 1)).value == 2.0 ** -1022
+
+    def test_float_path_keeps_its_bits(self):
+        for m in (2 ** 1023, 2 ** 1024 - 2 ** 971, 10 ** 300 + 7):
+            assert kubota_constant(ClassicalDomain.type_ii(m)).value == m ** -0.5
+
+    def test_product_with_a_huge_factor(self):
+        m = 10 ** 400 - 1
+        pair = [ClassicalDomain.type_i(1, 1), ClassicalDomain.type_ii(m)]
+        assert product_constant(pair).value == float(Fraction(1, 10 ** 200))
+        # two factors below 2^1024 whose sum is not
+        halves = [ClassicalDomain.type_ii(2 ** 1023), ClassicalDomain.type_ii(2 ** 1023 + 5)]
+        assert rounds_inverse_sqrt(2 ** 1024 + 5, product_constant(halves).value)
+        assert product_constant(halves).witness["inverse_square_sum"] == 2 ** 1024 + 5
+
+    @pytest.mark.parametrize("constant", [
+        lambda: kubota_constant(ClassicalDomain.type_ii(2 ** 2044 + 1)),
+        lambda: kubota_constant(ClassicalDomain.type_i(10 ** 700, 10 ** 700)),
+        lambda: product_constant([ClassicalDomain.type_iv(3), ClassicalDomain.type_ii(2 ** 2044 - 1)]),
+    ])
+    def test_subnormal_constant_refused(self, constant):
+        with pytest.raises(DomainValidationError, match="below the least normal double"):
+            constant()
 
 
 class TestPuncturedBall:
