@@ -1,8 +1,9 @@
 """Command-line front end: JSON records and CSV sweep tables.
 
-Subcommands: exact, bound, search, table, check.  Scalar queries default to
-JSON (one record per line, fixed key order, 17-significant-digit floats so
-values round-trip losslessly); tables default to CSV with the same digits.
+Subcommands: exact, bound, search, table, check.  Every record is printed by
+``_emit``: JSON lines (fixed key order, 17-significant-digit floats so values
+round-trip losslessly), or CSV with the same digits and LF line ends.  Scalar
+queries default to JSON, tables to CSV.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from .symmetric import (
     punctured_ball_squeezing,
 )
 
-_RECORD_KEYS = ("domain", "point", "value", "tag", "method", "witness", "tool_version")
-
-
 class CLIError(Exception):
     """User input error: message printed to stderr, exit status 2."""
 
@@ -73,35 +71,39 @@ def _encode_json(obj) -> str:
     raise TypeError(f"cannot encode {type(obj)!r}")
 
 
-def _emit_record(record: dict, out: str) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (list, tuple)):
+        return " ".join(_format_float(v) for v in value)
+    if isinstance(value, (float, np.floating)):
+        return _format_float(value)
+    return str(value)
+
+
+def _emit(records: list, out: str = "json") -> int:
+    """Print records as JSON lines, or as CSV: a header of the first record's
+    keys except witness and tool_version, then one row per record, each
+    line ended by LF."""
     if out == "json":
-        print(_encode_json(record))
-        return
-    keys = [k for k in _RECORD_KEYS if k not in ("witness", "tool_version")]
-    writer = csv.writer(sys.stdout)
+        for record in records:
+            print(_encode_json(record))
+        return 0
+    keys = [key for key in records[0] if key not in ("witness", "tool_version")]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
-    cells = []
-    for key in keys:
-        value = record[key]
-        if value is None:
-            cells.append("")
-        elif isinstance(value, (list, tuple)):
-            cells.append(" ".join(_format_float(v) for v in value))
-        elif isinstance(value, (float, np.floating)):
-            cells.append(_format_float(value))
-        else:
-            cells.append(str(value))
-    writer.writerow(cells)
+    writer.writerows([_cell(record[key]) for key in keys] for record in records)
+    return 0
 
 
-def _record(domain: str, point, certificate) -> dict:
+def _record(domain: str, point, value, tag: str, method: str, witness) -> dict:
     return {
         "domain": domain,
         "point": point,
-        "value": certificate.value,
-        "tag": certificate.tag,
-        "method": certificate.method,
-        "witness": certificate.witness,
+        "value": value,
+        "tag": tag,
+        "method": method,
+        "witness": witness,
         "tool_version": __version__,
     }
 
@@ -172,37 +174,29 @@ def _reject_unread(args, reads, mode: str) -> None:
 def cmd_exact(args) -> int:
     token = args.domain
     _reject_unread(args, ("point",) if token.startswith("punctured-ball:") else (), f"--domain {token}")
-    if token.startswith("product:"):
-        factors = token[len("product:"):].split("+")
-        if not factors or factors == [""]:
-            raise CLIError(f"empty product in {token!r}")
-        domains = [_parse_classical(f) for f in factors]
-        try:
-            certificate = product_constant(domains)
-        except DomainValidationError as exc:  # a constant below the least normal double
-            raise CLIError(f"invalid domain {token!r}: {exc}")
-        _emit_record(_record(token, None, certificate), args.out)
-        return 0
+    point = None
     if token.startswith("ball:"):
         n = _parse_positive_int(token[len("ball:"):], token)
         certificate = BoundCertificate(1.0, "exact", "unit-ball", {"dimension": n})
-        _emit_record(_record(token, None, certificate), args.out)
-        return 0
-    if token.startswith("punctured-ball:"):
+    elif token.startswith("punctured-ball:"):
         n = _parse_positive_int(token[len("punctured-ball:"):], token)
         if args.point is None:
             raise CLIError("punctured-ball requires --point")
-        point = _parse_point(args.point, n)
-        certificate = punctured_ball_squeezing(point, n)
-        _emit_record(_record(token, _serialize_point(point), certificate), args.out)
-        return 0
-    domain = _parse_classical(token)
-    try:
-        certificate = kubota_constant(domain)
-    except DomainValidationError as exc:  # a constant below the least normal double
-        raise CLIError(f"invalid domain {token!r}: {exc}")
-    _emit_record(_record(token, None, certificate), args.out)
-    return 0
+        vector = _parse_point(args.point, n)
+        certificate, point = punctured_ball_squeezing(vector, n), _serialize_point(vector)
+    else:
+        if token.startswith("product:"):
+            factors = token[len("product:"):].split("+")
+            if factors == [""]:
+                raise CLIError(f"empty product in {token!r}")
+            constant, domain = product_constant, [_parse_classical(f) for f in factors]
+        else:
+            constant, domain = kubota_constant, _parse_classical(token)
+        try:
+            certificate = constant(domain)
+        except DomainValidationError as exc:  # a constant below the least normal double
+            raise CLIError(f"invalid domain {token!r}: {exc}")
+    return _emit([_record(token, point, **vars(certificate))], args.out)
 
 
 #: The options each `bound` mode reads besides its own.
@@ -225,40 +219,24 @@ def cmd_bound(args) -> int:
             raise CLIError("--annulus requires --rho")
         annulus = Annulus(args.annulus)
         certificate = annulus_lower_bound(annulus, args.rho)
+        domain, point = f"annulus:{_format_float(annulus.r)}", [args.rho, 0.0]
         if args.caratheodory:
-            # hand-built: s/(4 delta) may exceed 1, which a BoundCertificate rejects
-            delta = annulus.boundary_distance(args.rho)
+            # not a BoundCertificate: s/(4 delta) may exceed 1, which a BoundCertificate rejects
+            witness = {"squeezing_lower": certificate.value, "delta": annulus.boundary_distance(args.rho)}
             estimate = caratheodory_lower_estimate(args.rho, certificate.value, annulus)
-            record = {
-                "domain": f"annulus:{_format_float(annulus.r)}",
-                "point": [args.rho, 0.0],
-                "value": estimate,
-                "tag": "lower",
-                "method": "koebe-quarter",
-                "witness": {"squeezing_lower": certificate.value, "delta": delta},
-                "tool_version": __version__,
-            }
-            _emit_record(record, args.out)
-            return 0
-        _emit_record(
-            _record(f"annulus:{_format_float(annulus.r)}", [args.rho, 0.0], certificate), args.out
-        )
-        return 0
-
-    if args.punctured_ball is not None:
+            return _emit([_record(domain, point, estimate, "lower", "koebe-quarter", witness)], args.out)
+    elif args.punctured_ball is not None:
         n = args.punctured_ball
         if n < 1:
             raise CLIError(f"--punctured-ball must be a positive integer, got {n}")
         if args.point is None or args.punctures is None:
             raise CLIError("--punctured-ball requires --punctures and --point")
         punctures = tuple(_parse_point(p, n) for p in args.punctures.split(";"))
-        domain = PuncturedBall(n, punctures)
-        point = _parse_point(args.point, n)
-        certificate = punctured_domain_upper_bound(domain, point)
-        _emit_record(_record(f"punctured-ball:{n}", _serialize_point(point), certificate), args.out)
-        return 0
-
-    if args.excised is not None:
+        ball = PuncturedBall(n, punctures)
+        vector = _parse_point(args.point, n)
+        certificate = punctured_domain_upper_bound(ball, vector)
+        domain, point = f"punctured-ball:{n}", _serialize_point(vector)
+    elif args.excised is not None:
         if args.point is None:
             raise CLIError("--excised requires --point")
         try:
@@ -267,26 +245,26 @@ def cmd_bound(args) -> int:
             excisions = tuple(
                 Excision(complex(e["a_re"], e["a_im"]), float(e["r"])) for e in config["excisions"]
             )
-            domain = ExcisedDomain(float(config["u"]), float(config["v"]), float(config["w"]), excisions)
+            excised = ExcisedDomain(float(config["u"]), float(config["v"]), float(config["w"]), excisions)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CLIError(f"invalid excised-domain config {args.excised!r}: {exc}")
-        point = _parse_point(args.point, 1)[0]
-        certificate = excised_domain_lower_bound(domain, point)
-        _emit_record(_record("excised-disc", [point.real, point.imag], certificate), args.out)
-        return 0
-
-    parts = args.c_constant.split(",")
-    if len(parts) != 3:
-        raise CLIError(f"--c-constant takes u,v,w, got {args.c_constant!r}")
-    try:
-        u, v, w = (float(p) for p in parts)
-    except ValueError:
-        raise CLIError(f"--c-constant takes three reals, got {args.c_constant!r}")
-    certificate = BoundCertificate(
-        excision_constant(u, v, w), "lower", "nested-radius-infimum", {"u": u, "v": v, "w": w}
-    )
-    _emit_record(_record("excised-disc-family", None, certificate), args.out)
-    return 0
+        z = _parse_point(args.point, 1)[0]
+        certificate = excised_domain_lower_bound(excised, z)
+        domain, point = "excised-disc", [z.real, z.imag]
+    else:
+        parts = args.c_constant.split(",")
+        if len(parts) != 3:
+            raise CLIError(f"--c-constant takes u,v,w, got {args.c_constant!r}")
+        try:
+            u, v, w = (float(p) for p in parts)
+        except ValueError:
+            raise CLIError(f"--c-constant takes three reals, got {args.c_constant!r}")
+        # a BoundCertificate, so a constant that rounds down to 0 exits 2
+        certificate = BoundCertificate(
+            excision_constant(u, v, w), "lower", "nested-radius-infimum", {"u": u, "v": v, "w": w}
+        )
+        domain, point = "excised-disc-family", None
+    return _emit([_record(domain, point, **vars(certificate))], args.out)
 
 
 def cmd_search(args) -> int:
@@ -316,8 +294,7 @@ def cmd_search(args) -> int:
         },
         "certificates": result.certificates._asdict(),
     }
-    print(_encode_json(record))
-    return 0
+    return _emit([record])
 
 
 def cmd_table(args) -> int:
@@ -326,17 +303,11 @@ def cmd_table(args) -> int:
     annulus = Annulus(args.annulus)
     rhos = np.linspace(math.sqrt(annulus.r), 1.0 - 1e-6, args.samples)
     rows = [
-        (rho, annulus_lower_bound(annulus, rho).value, annulus_conjectured_value(annulus, rho).value)
+        {"rho": rho, "lower_bound": annulus_lower_bound(annulus, rho).value,
+         "conjecture": annulus_conjectured_value(annulus, rho).value}
         for rho in rhos
     ]
-    if args.out == "csv":
-        print("rho,lower_bound,conjecture")
-        for rho, lower, conjecture in rows:
-            print(",".join(_format_float(v) for v in (rho, lower, conjecture)))
-    else:
-        for rho, lower, conjecture in rows:
-            print(_encode_json({"rho": rho, "lower_bound": lower, "conjecture": conjecture}))
-    return 0
+    return _emit(rows, args.out)
 
 
 def cmd_check(args) -> int:
@@ -416,10 +387,7 @@ def main(argv=None) -> int:
         # as a SIGPIPE death would: no traceback, and stdout to devnull so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SqueezingError as exc:
+    except (CLIError, SqueezingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

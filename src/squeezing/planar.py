@@ -1,6 +1,6 @@
 """Certified squeezing bounds for planar domains.
 
-Covers the annulus lower bound and its conjectured closed form, the
+Covers the annulus lower bound and the paper's closed form for it, the
 nested-radius excision constant, lower bounds on discs with excised
 round holes, upper bounds on punctured balls, the Koebe-quarter estimate
 for the Caratheodory norm, a metric-completeness criterion and the
@@ -103,9 +103,10 @@ def annulus_lower_bound(annulus: Annulus, z) -> BoundCertificate:
 def annulus_conjectured_value(annulus: Annulus, rho: float) -> BoundCertificate:
     """Closed form euclidean_radius(hyperbolic_radius(rho) - hyperbolic_radius(r)).
 
-    Proven as a lower bound; conjectured to be the exact squeezing value on
-    the fundamental range [sqrt(r), 1).  Radii below sqrt(r) must be folded
-    by the reflection first.
+    A proven lower bound on the fundamental range [sqrt(r), 1), not the
+    exact squeezing value: ``search.tier_b_search`` certifies Laurent
+    embeddings above it (0.3589 > 2/7 at r = 0.25, rho = 0.5, degree 1,
+    seed 42).  Radii below sqrt(r) must be folded by the reflection first.
     """
     r = annulus.r
     if not rho < 1.0:  # also rejects nan
@@ -123,7 +124,7 @@ def annulus_conjectured_value(annulus: Annulus, rho: float) -> BoundCertificate:
 
 
 def annulus_minimum_value(annulus: Annulus) -> float:
-    """Value of the conjectured closed form at its minimum rho = sqrt(r):
+    """Value of ``annulus_conjectured_value`` at its minimum rho = sqrt(r):
     (sqrt(r) - r)/(1 - r sqrt(r)) = sqrt(r)/(1 + sqrt(r) + r)."""
     root = math.sqrt(annulus.r)
     return root / (1.0 + root + annulus.r)

@@ -12,9 +12,11 @@ resolution.
 Tier A is the better of the two Mobius embeddings (the inclusion recentred
 at the query point, and the reflection across the annulus).  Their distance
 is the pseudo-hyperbolic one in closed form, so Tier A reads its value from
-``planar.annulus_lower_bound`` and samples nothing.  That value is also the
-conjectured squeezing value, reported next to every search result with its
-gap to the best found bound, which is never asserted to have a sign.
+``planar.annulus_lower_bound`` and samples nothing.  That value is the
+paper's closed form, a proven lower bound, reported next to every search
+result as ``conjecture_value`` with its gap to the best found bound.  It is
+not the exact squeezing value: certified Laurent embeddings exceed it (the
+degree-1 search at r = 0.25, rho = 0.5, seed 42 certifies 0.3589 > 2/7).
 
 Tier B perturbs Laurent coefficients around those seeds with a
 deterministic multi-start Nelder-Mead simplex search (the min-over-samples
@@ -108,8 +110,11 @@ class CertificateAttempts(NamedTuple):
 class SearchResult:
     """Outcome of a search; ``budget_exhausted`` is True when at least one
     simplex start was cut off by its share of the evaluation budget, and
-    False when every start converged within its share.  ``certificates``
-    counts the injectivity certificates the search ran, by status."""
+    False when every start stopped within its share: after
+    ``_SIMPLEX_ITERATIONS`` iterations or, sooner, once its simplex shrank
+    below 1e-11.  False does not mean that a start converged.
+    ``certificates`` counts the injectivity certificates the search ran, by
+    status."""
 
     best_value: float
     best_candidate: EmbeddingCandidate

@@ -14,6 +14,8 @@ parameters, its dimension and constant, and the shape and symmetry of its points
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,9 +100,15 @@ class ClassicalDomain:
         name, _, rest = token.partition(":")
         if name not in _BY_NAME:
             raise DomainValidationError(f"unknown domain kind {name!r}")
+        texts = rest.split(",") if rest else []
         try:
-            params = tuple(int(text) for text in rest.split(",")) if rest else ()
+            params = tuple(int(text) for text in texts)
         except ValueError:
+            if all(re.fullmatch(r"\s*[+-]?\d+\s*", text) for text in texts):  # digits past the limit
+                raise DomainValidationError(
+                    f"a parameter has more than {sys.get_int_max_str_digits():,} digits, "
+                    "Python's limit for reading an integer from text"
+                ) from None
             raise DomainValidationError(f"parameters must be integers, got {rest!r}") from None
         return cls(_BY_NAME[name], params)
 

@@ -438,6 +438,64 @@ def test_invalid_input_exits_two_without_traceback(argv):
         assert unread in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("exact", "--domain", "ball:x"), "expected an integer in 'ball:x', got 'x'"),
+    (("exact", "--domain", "ball:0"), "expected a positive integer in 'ball:0', got '0'"),
+    (("exact", "--domain", "product:"), "empty product in 'product:'"),
+    (("exact", "--domain", "punctured-ball:2"), "punctured-ball requires --point"),
+    (("exact", "--domain", "punctured-ball:2", "--point", "a,b"),
+     "point 'a,b' must be a comma-separated list of reals"),
+    (("exact", "--domain", "punctured-ball:2", "--point", "1,2,3"),
+     "point '1,2,3' must have 2 or 4 components for dimension 2"),
+    (("bound", "--excised", "holes.json"), "--excised requires --point"),
+    (("bound", "--c-constant", "0.2,x,0.3"), "--c-constant takes three reals, got '0.2,x,0.3'"),
+    # the constant rounds down to 0, which no lower-bound certificate holds
+    (("bound", "--c-constant", "5e-324,0.5,0.5000000001"), "certificate value must lie in (0, 1], got 0.0"),
+])
+def test_error_line_names_the_bad_token(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "domain", ["typeIV:" + "9" * 4301, "product:typeIV:3+typeIV:" + "9" * 4301], ids=["classical", "product"]
+)
+def test_parameter_past_the_digit_limit_named(capsys, domain):
+    code, out, err = run_cli(capsys, "exact", "--domain", domain)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid domain {'typeIV:' + '9' * 4301!r}: ")
+    assert f"more than {sys.get_int_max_str_digits():,} digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--domain", "typeI:2,3"),
+    ("exact", "--domain", "product:typeIV:3+typeIV:7"),
+    ("exact", "--domain", "ball:3"),
+    ("exact", "--domain", "punctured-ball:2", "--point", "0.3,0"),
+    ("bound", "--annulus", "0.25", "--rho", "0.5"),
+    ("bound", "--annulus", "0.25", "--rho", "0.5", "--caratheodory"),
+    ("bound", "--punctured-ball", "2", "--punctures", "0,0", "--point", "0.25,0"),
+    ("bound", "--c-constant", "0.2,0.3,0.6"),
+    ("table", "--annulus", "0.25", "--samples", "5"),
+])
+def test_csv_lines_end_in_lf(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--out", "csv")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[-1] == "" and len(lines) >= 3
+    assert "\r" not in out
+    rows = list(csv.reader(lines[:-1]))
+    assert len({len(row) for row in rows}) == 1
+
+
+def test_list_valued_csv_cell(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--domain", "punctured-ball:2", "--point", "0.3,0", "--out", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["domain", "point", "value", "tag", "method"],
+        ["punctured-ball:2", "0.29999999999999999 0 0 0", "0.29999999999999999", "exact", "puncture-identity"],
+    ]
+
+
 def test_float_formatting_roundtrip(capsys):
     _, out, _ = run_cli(capsys, "exact", "--domain", "typeIII:5")
     record = json.loads(out)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,17 @@ class TestParse:
     def test_malformed_token_refused(self, token):
         with pytest.raises(DomainValidationError):
             ClassicalDomain.parse(token)
+
+    @pytest.mark.parametrize("token", [
+        "typeIV:" + "9" * 4301, "typeI:1," + "9" * 4301, "typeII: +" + "9" * 4301, "typeIII:-" + "9" * 4301,
+    ], ids=["typeIV", "typeI-second", "typeII-signed", "typeIII-negative"])
+    def test_parameter_past_the_digit_limit_named(self, token):
+        # int() refuses more than sys.get_int_max_str_digits() digits; the message says so
+        limit = f"more than {sys.get_int_max_str_digits():,} digits"
+        with pytest.raises(DomainValidationError, match=limit):
+            ClassicalDomain.parse(token)
+        with pytest.raises(DomainValidationError, match="must be integers"):
+            ClassicalDomain.parse(token + "x")
 
 
 class TestIntegerParameters:
