@@ -46,10 +46,6 @@ class PointNotInDomain(SqueezingError, ValueError):
     """The query point is not a member of the domain."""
 
 
-class BoundaryPoint(SqueezingError, ValueError):
-    """The query point lies on the boundary, where the estimate diverges."""
-
-
 class NotCertified(SqueezingError):
     """An embedding candidate without a passing injectivity certificate was
     used where only certified candidates are allowed."""

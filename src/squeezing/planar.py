@@ -18,7 +18,6 @@ import numpy as np
 
 from .certificates import BoundCertificate
 from .errors import (
-    BoundaryPoint,
     DomainValidationError,
     EmptyList,
     OutOfFundamentalRange,
@@ -57,11 +56,12 @@ class Annulus:
         return point
 
     def boundary_distance(self, z) -> float:
-        rho = abs(complex(z))
+        rho = abs(self.point(z))
         return min(1.0 - rho, rho - self.r)
 
     def fold(self, rho: float) -> float:
-        """Reflect a radius into the fundamental range [sqrt(r), 1)."""
+        """Reflect the radius of a point into the fundamental range [sqrt(r), 1)."""
+        rho = abs(self.point(rho))
         return rho if rho >= math.sqrt(self.r) else self.r / rho
 
 
@@ -106,11 +106,11 @@ def annulus_conjectured_value(annulus: Annulus, rho: float) -> BoundCertificate:
     A proven lower bound on the fundamental range [sqrt(r), 1), not the
     exact squeezing value: ``search.tier_b_search`` certifies Laurent
     embeddings above it (0.3589 > 2/7 at r = 0.25, rho = 0.5, degree 1,
-    seed 42).  Radii below sqrt(r) must be folded by the reflection first.
+    seed 42).  ``rho`` must lie in the annulus, and radii below sqrt(r)
+    must be folded by the reflection first.
     """
     r = annulus.r
-    if not rho < 1.0:  # also rejects nan
-        raise PointOutsideAnnulus(f"rho = {rho} is not below 1")
+    annulus.point(rho)
     if rho < math.sqrt(r):
         raise OutOfFundamentalRange(
             f"rho = {rho} is below sqrt(r) = {math.sqrt(r)}; fold by the reflection first"
@@ -330,10 +330,10 @@ def punctured_domain_upper_bound(domain: PuncturedBall, z) -> BoundCertificate:
 
 def boundary_distance(z, annulus: Annulus | None = None) -> float:
     """Euclidean distance to the boundary: unit disc when ``annulus`` is None."""
-    rho = abs(complex(z))
-    if annulus is None:
-        return 1.0 - rho
-    return annulus.boundary_distance(z)
+    if annulus is not None:
+        return annulus.boundary_distance(z)
+    _disc_points("point", z)
+    return 1.0 - abs(complex(z))
 
 
 def caratheodory_lower_estimate(z, squeezing_lower: float, annulus: Annulus | None = None) -> float:
@@ -341,15 +341,13 @@ def caratheodory_lower_estimate(z, squeezing_lower: float, annulus: Annulus | No
     Caratheodory norm of d/dz, via the Koebe one-quarter theorem.
 
     ``squeezing_lower`` must be a valid lower bound for the squeezing value
-    at z; delta is the closed-form boundary distance of the disc or annulus.
-    The estimate diverges as z approaches the boundary.
+    at z; delta is the closed-form boundary distance of the disc or annulus,
+    which refuses a z outside its domain.  The estimate diverges as z
+    approaches the boundary.
     """
     if not 0.0 < squeezing_lower <= 1.0:
         raise DomainValidationError("squeezing lower bound must lie in (0, 1]")
-    delta = boundary_distance(z, annulus)
-    if not delta > 0.0:  # also rejects nan
-        raise BoundaryPoint("boundary distance vanishes; the estimate diverges")
-    return squeezing_lower / (4.0 * delta)
+    return squeezing_lower / (4.0 * boundary_distance(z, annulus))
 
 
 @dataclass(frozen=True)

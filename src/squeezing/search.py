@@ -20,7 +20,9 @@ degree-1 search at r = 0.25, rho = 0.5, seed 42 certifies 0.3589 > 2/7).
 
 Tier B perturbs Laurent coefficients around those seeds with a
 deterministic multi-start Nelder-Mead simplex search (the min-over-samples
-objective is nonsmooth, so derivative-free search is the right tool).
+objective is nonsmooth, so derivative-free search is the right tool).  Each
+start runs until it has spent its share of the evaluation budget or its
+simplex has shrunk below 1e-11; the budget is the only cap.
 Search evaluations are advisory; a candidate is adopted only after its
 injectivity certificate passes, and only adopted candidates are ever
 reported.  Post-composition with a disc automorphism is value-neutral (the
@@ -31,13 +33,14 @@ The boundary curves of a degree-m Laurent map are trigonometric
 polynomials, so a search builds one power basis ``rouche.annulus_basis``
 per call, on 2 * samples nodes per circle plus the query point.  Those are
 the nodes the injectivity certificate samples and the resolution of the
-reported value, so the search, the certificate and the reported value share
-them; each evaluation is one matrix-vector product of that basis with the
-coefficient vector, run on the calling thread by ``rouche._table_product``,
-so its bits do not depend on the BLAS thread count.  The product, its
-rescaling and the pseudo-hyperbolic minimum write into buffers allocated
-once per search call, so an evaluation allocates nothing the size of the
-basis, and the simplex keeps its vertices in one array.
+reported value, so the search, the certificate, the reported value and
+``objective`` at the same ``samples`` share them; each evaluation is one
+matrix-vector product of that basis with the coefficient vector, run on the
+calling thread by ``rouche._table_product``, so its bits do not depend on
+the BLAS thread count.  The product, its rescaling and the
+pseudo-hyperbolic minimum write into buffers allocated once per search
+call, so an evaluation allocates nothing the size of the basis, and the
+simplex keeps its vertices in one array.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ from .rouche import (
     InjectivityCertificate, _table_product, annulus_basis, injectivity_certificate, laurent_map
 )
 
-#: Default ``samples`` of a search: its objective, its injectivity
-#: certificates and its reported value all read 2 * samples nodes per circle.
+#: Default ``samples`` of ``objective`` and of a search: the objective, the
+#: search's injectivity certificates and its reported value all read
+#: 2 * samples nodes per circle.
 DEFAULT_SAMPLES = 2048
 
 #: Candidates must beat the certified incumbent by this much before the
@@ -66,7 +70,6 @@ CERTIFY_MARGIN = 1e-6
 _ESCAPE_SLACK = 1e-12
 _DEGREE_CAP = 4
 _SIMPLEX_STEP = 0.02
-_SIMPLEX_ITERATIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +113,22 @@ class CertificateAttempts(NamedTuple):
 class SearchResult:
     """Outcome of a search; ``budget_exhausted`` is True when at least one
     simplex start was cut off by its share of the evaluation budget, and
-    False when every start stopped within its share: after
-    ``_SIMPLEX_ITERATIONS`` iterations or, sooner, once its simplex shrank
-    below 1e-11.  False does not mean that a start converged.
-    ``certificates`` counts the injectivity certificates the search ran, by
-    status."""
+    False when every start converged within its share: its simplex shrank
+    below 1e-11.  ``conjecture_value`` is the paper's closed form, which is
+    the tier-A value.  ``certificates`` counts the injectivity certificates
+    the search ran, by status."""
 
     best_value: float
     best_candidate: EmbeddingCandidate
     tier_a_value: float
-    conjecture_value: float
     evaluations: int
     seed: int
     budget_exhausted: bool = False
     certificates: CertificateAttempts = CertificateAttempts()
+
+    @property
+    def conjecture_value(self) -> float:
+        return self.tier_a_value
 
     @property
     def conjecture_gap(self) -> float:
@@ -151,18 +156,26 @@ def _objective_value(values: np.ndarray, scratch) -> float:
     return float(np.abs(numerator, out=modulus).min())
 
 
+def _check_samples(samples) -> None:
+    if not _is_integer(samples) or samples < 64:  # the search's inflation needs a fine node step
+        raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")
+
+
 def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> float:
     """Lower bound realised by a certified candidate at p.
 
-    The minimum pseudo-hyperbolic distance from f(p) to the sampled images
-    of both boundary circles.  Raises NotCertified for candidates without a
-    passing certificate and ImageEscapesDisc when the boundary image leaves
-    the closed unit disc beyond tolerance.
+    The minimum pseudo-hyperbolic distance from f(p) to the images of both
+    boundary circles, sampled at 2 * samples nodes each: a search with the
+    same ``samples`` reports this value for its Laurent winner.  Raises
+    NotCertified for candidates without a passing certificate and
+    ImageEscapesDisc when the boundary image leaves the closed unit disc
+    beyond tolerance.
     """
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
     point = annulus.point(p)
-    basis = annulus_basis(annulus.r, samples, len(candidate.coefficients) // 2, point)
+    _check_samples(samples)
+    basis = annulus_basis(annulus.r, 2 * samples, len(candidate.coefficients) // 2, point)
     values = _table_product(basis, candidate.coefficients)
     escape = max(np.abs(values[:-1]).max() - 1.0, abs(values[-1]) - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
@@ -181,7 +194,6 @@ def tier_a_bound(annulus: Annulus, p) -> SearchResult:
         best_value=bound.value,
         best_candidate=best,
         tier_a_value=bound.value,
-        conjecture_value=bound.value,
         evaluations=2,
         seed=0,
     )
@@ -198,7 +210,7 @@ def _simplex_maximize(fn: Callable, x0: np.ndarray):
     points[1:][np.diag_indices(dim)] += _SIMPLEX_STEP
     values = np.array([fn(x) for x in points])
 
-    for _ in range(_SIMPLEX_ITERATIONS):
+    while True:
         order = np.argsort(-values, kind="stable")
         points = points[order]
         values = values[order]
@@ -226,15 +238,6 @@ def _simplex_maximize(fn: Callable, x0: np.ndarray):
                 values[1:] = [fn(x) for x in points[1:]]
 
 
-def _encode(coefficients: np.ndarray) -> np.ndarray:
-    return np.concatenate([coefficients.real, coefficients.imag])
-
-
-def _decode(x: np.ndarray) -> np.ndarray:
-    half = len(x) // 2
-    return x[:half] + 1j * x[half:]
-
-
 def tier_b_search(
     annulus: Annulus,
     p,
@@ -260,19 +263,13 @@ def tier_b_search(
         raise DomainValidationError("budget must be at least 1")
     if not _is_integer(seed) or seed < 0:
         raise DomainValidationError(f"seed must be a non-negative integer, got {seed}")
-    if not _is_integer(samples) or samples < 64:  # the inflation below needs a fine node step
-        raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")
+    _check_samples(samples)
 
     tier_a = tier_a_bound(annulus, point)
     if degree == 0:
         return replace(tier_a, seed=seed)
 
     size = 2 * degree + 1
-    seed_inclusion = np.zeros(size, dtype=complex)
-    seed_inclusion[degree + 1] = 1.0
-    seed_reflection = np.zeros(size, dtype=complex)
-    seed_reflection[degree - 1] = annulus.r
-
     # one power basis, on the certificate's 2 * samples nodes per circle plus
     # the query point; every evaluation below is one matrix-vector product
     ring = annulus_basis(annulus.r, 2 * samples, degree, point)
@@ -289,13 +286,13 @@ def tier_b_search(
     incumbent = None  # the adopted Laurent candidate; None -> Mobius fallback
     rejected_above = -np.inf
 
+    # the two Mobius embeddings padded to the degree, as real vectors (real
+    # parts, then imaginary parts), then a seeded perturbation of each
+    mobius = EmbeddingCandidate.mobius_inclusion(), EmbeddingCandidate.mobius_reflection(annulus.r)
+    starts = [np.pad(f.coefficients, degree - 1) for f in mobius]
+    starts = [np.concatenate([c.real, c.imag]) for c in starts]
     rng = np.random.default_rng(seed)
-    starts = [
-        _encode(seed_inclusion),
-        _encode(seed_reflection),
-        _encode(seed_inclusion) + 0.02 * rng.standard_normal(2 * size),
-        _encode(seed_reflection) + 0.02 * rng.standard_normal(2 * size),
-    ]
+    starts += [x + 0.02 * rng.standard_normal(2 * size) for x in starts]
 
     evaluations = 0
     stop = 0  # evaluation count at which the running start is cut off
@@ -311,7 +308,7 @@ def tier_b_search(
         if evaluations >= stop:
             raise _Exhausted
         evaluations += 1
-        c = _decode(x)
+        c = x[:size] + 1j * x[size:]
         _table_product(ring, c, values)
         peak = np.abs(values[:-1], out=scratch[2]).max()
         if peak < 1e-12:
@@ -342,7 +339,6 @@ def tier_b_search(
         best_value=incumbent_value,
         best_candidate=tier_a.best_candidate if incumbent is None else incumbent,
         tier_a_value=tier_a.best_value,
-        conjecture_value=tier_a.conjecture_value,
         evaluations=evaluations,
         seed=seed,
         budget_exhausted=exhausted,
@@ -364,10 +360,10 @@ def monotonicity_scan(annulus: Annulus, grid: int = 256) -> MonotonicityReport:
     Tier A tracks the closed-form bound, which is strictly increasing, so its
     inversion count must be 0.
     """
-    if grid < 8:
-        raise DomainValidationError("grid must be at least 8")
+    if not _is_integer(grid) or grid < 8:
+        raise DomainValidationError(f"grid must be an integer >= 8, got {grid!r}")
     root = math.sqrt(annulus.r)
     rho = root + (1.0 - root) * np.arange(grid) / grid
-    values = np.array([tier_a_bound(annulus, x).best_value for x in rho])
+    values = np.array([annulus_lower_bound(annulus, x).value for x in rho])
     inversions = int(np.sum(values[1:] < values[:-1]))
     return MonotonicityReport(rho, values, inversions)

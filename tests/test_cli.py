@@ -214,8 +214,10 @@ class TestSearch:
         record = json.loads(out)
         assert record["best_value"] >= record["tier_a_value"] - 1e-9
 
-    # at rho = 0.7 the Laurent winner's value changes with the sample count
-    @pytest.mark.parametrize("degree, rho, family", [(0, 0.5, "mobius-inclusion"), (1, 0.7, "laurent")])
+    # at rho = 0.6 the Laurent winner reads another minimum on half the nodes
+    @pytest.mark.parametrize("degree, rho, family", [
+        (0, 0.5, "mobius-inclusion"), (1, 0.7, "laurent"), (1, 0.6, "laurent"),
+    ])
     def test_witness_reproduces_best_value(self, capsys, degree, rho, family):
         code, out, _ = run_cli(
             capsys, "search", "--annulus", "0.25", "--rho", str(rho), "--degree", str(degree),
@@ -234,7 +236,7 @@ class TestSearch:
             assert 0.0 < witness["tube"] < 1e-3
             certificate = InjectivityCertificate("certified", witness["min_boundary_modulus"])
             candidate = EmbeddingCandidate.laurent(coefficients, certificate)
-            value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
+            value = objective(candidate, Annulus(0.25), rho, samples=witness["samples"])
             assert value == record["best_value"]
         else:
             assert witness["grid_size"] is None and witness["min_boundary_modulus"] is None
@@ -243,7 +245,7 @@ class TestSearch:
             _, bound, _ = run_cli(capsys, "bound", "--annulus", "0.25", "--rho", str(rho))
             assert record["best_value"] == json.loads(bound)["value"]
             candidate = EmbeddingCandidate(family, 1, coefficients, "certified")
-            value = objective(candidate, Annulus(0.25), rho, samples=2 * witness["samples"])
+            value = objective(candidate, Annulus(0.25), rho, samples=witness["samples"])
             assert value == pytest.approx(record["best_value"], abs=1e-12)
 
 

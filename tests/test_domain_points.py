@@ -14,8 +14,11 @@ from squeezing import (
     Excision,
     ExcisedDomain,
     PuncturedBall,
+    annulus_conjectured_value,
     annulus_lower_bound,
     ball_mobius,
+    boundary_distance,
+    caratheodory_lower_estimate,
     disc_automorphism,
     hyperbolic_radius,
     injectivity_certificate,
@@ -53,7 +56,17 @@ CALLS = {
         DomainValidationError,
     ),
     "punctured_ball_squeezing": (lambda x: punctured_ball_squeezing([x, 0.0]), DomainValidationError),
+    "boundary_distance": (boundary_distance, DomainValidationError),
+    "caratheodory_lower_estimate": (lambda x: caratheodory_lower_estimate(x, 0.5), DomainValidationError),
     "Annulus.point": (QUARTER.point, PointOutsideAnnulus),
+    "Annulus.fold": (QUARTER.fold, PointOutsideAnnulus),
+    "Annulus.boundary_distance": (QUARTER.boundary_distance, PointOutsideAnnulus),
+    "boundary_distance[annulus]": (lambda x: boundary_distance(x, QUARTER), PointOutsideAnnulus),
+    "caratheodory_lower_estimate[annulus]": (
+        lambda x: caratheodory_lower_estimate(x, 0.5, QUARTER),
+        PointOutsideAnnulus,
+    ),
+    "annulus_conjectured_value": (lambda x: annulus_conjectured_value(QUARTER, x), PointOutsideAnnulus),
     "annulus_lower_bound": (lambda x: annulus_lower_bound(QUARTER, x), PointOutsideAnnulus),
     "tier_a_bound": (lambda x: tier_a_bound(QUARTER, x), PointOutsideAnnulus),
     "tier_b_search": (lambda x: tier_b_search(QUARTER, x, degree=1, budget=10), PointOutsideAnnulus),

@@ -14,6 +14,7 @@ from squeezing import (
     TOLERANCE,
     annulus_conjectured_value,
     annulus_lower_bound,
+    boundary_distance,
     caratheodory_lower_estimate,
     completeness_criterion,
     euclidean_radius,
@@ -27,7 +28,6 @@ from squeezing import (
     uniform_ball_points,
 )
 from squeezing.errors import (
-    BoundaryPoint,
     DomainValidationError,
     OutOfFundamentalRange,
     ParameterOrderViolation,
@@ -124,6 +124,29 @@ class TestConjecturedValue:
 
     def test_method_marks_conjecture(self):
         assert "conjecture" in annulus_conjectured_value(QUARTER, 0.5).method
+
+
+# a point in the hole raised BoundaryPoint or asked to be folded, fold(0.1)
+# returned 2.5 and the boundary distance of 2.0 read -1
+@pytest.mark.parametrize("z", [0.1, -0.2, 2.0, 0.25])
+@pytest.mark.parametrize("call", [
+    lambda z: annulus_conjectured_value(QUARTER, z),
+    lambda z: caratheodory_lower_estimate(z, 0.5, QUARTER),
+    QUARTER.fold,
+    QUARTER.boundary_distance,
+    lambda z: boundary_distance(z, QUARTER),
+], ids=["conjectured_value", "caratheodory", "fold", "Annulus.boundary_distance", "boundary_distance"])
+def test_point_off_the_annulus_refused(call, z):
+    with pytest.raises(PointOutsideAnnulus):
+        call(z)
+
+
+@pytest.mark.parametrize("z", [2.0, -1.0, 1j])
+def test_point_off_the_disc_refused(z):
+    with pytest.raises(DomainValidationError, match="point must lie in the open unit disc"):
+        boundary_distance(z)
+    with pytest.raises(DomainValidationError, match="point must lie in the open unit disc"):
+        caratheodory_lower_estimate(z, 0.5)
 
 
 class TestExcisionConstant:
@@ -335,12 +358,13 @@ class TestCaratheodoryEstimate:
         assert values[-1] > 1e5
 
     def test_boundary_point_rejected(self):
-        with pytest.raises(BoundaryPoint):
+        with pytest.raises(DomainValidationError, match="point must lie in the open unit disc"):
             caratheodory_lower_estimate(1.0 + 0j, 0.5)
 
     @pytest.mark.parametrize("annulus", [None, QUARTER])
     def test_nan_point_rejected(self, annulus):
-        with pytest.raises(BoundaryPoint):
+        error = DomainValidationError if annulus is None else PointOutsideAnnulus
+        with pytest.raises(error):
             caratheodory_lower_estimate(math.nan, 0.5, annulus)
 
     def test_invalid_lower_bound_rejected(self):

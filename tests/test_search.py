@@ -65,6 +65,22 @@ class TestObjective:
         with pytest.raises(PointOutsideAnnulus):
             objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, 0.1)
 
+    @pytest.mark.parametrize("samples", [0, -3, 1.5, True, 63])
+    def test_samples_refused_as_by_the_search(self, samples):
+        with pytest.raises(DomainValidationError, match="samples must be an integer >= 64"):
+            objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, 0.5, samples=samples)
+        with pytest.raises(DomainValidationError, match="samples must be an integer >= 64"):
+            tier_b_search(QUARTER, 0.5, degree=1, budget=10, seed=0, samples=samples)
+
+    def test_samples_counts_half_the_nodes_per_circle(self):
+        # the inclusion's value is the minimum over 2 * samples nodes of each circle
+        p = 0.4 * np.exp(2j * np.pi / 128)  # on a ray of the 128 nodes, between two of 64
+        ring = np.exp(2j * np.pi * np.arange(128) / 128)
+        w = np.concatenate([ring, QUARTER.r * ring])
+        expected = np.abs((w - p) / (1 - np.conj(w) * p)).min()
+        value = objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, p, samples=64)
+        assert value == pytest.approx(expected, rel=1e-13)
+
 
 class TestTierA:
     def test_golden_value(self):
@@ -141,7 +157,7 @@ class TestTierB:
     def test_winner_survives_reevaluation(self):
         result = tier_b_search(QUARTER, 0.5, degree=1, budget=80, seed=1)
         if result.best_candidate.family == "laurent":
-            again = objective(result.best_candidate, QUARTER, 0.5, samples=2 * 2048)
+            again = objective(result.best_candidate, QUARTER, 0.5, samples=2048)
             assert again == result.best_value
 
     @pytest.mark.parametrize("r, rho, degree, budget, seed", [
@@ -199,9 +215,16 @@ class TestTierB:
         assert result.budget_exhausted
 
     def test_converged_starts_are_not_exhausted(self):
-        result = tier_b_search(QUARTER, 0.5, degree=1, budget=4000, seed=1, samples=256)
-        assert result.evaluations < 4000
+        # all four simplexes shrink below 1e-11 within their 10,000-evaluation shares
+        result = tier_b_search(Annulus(0.5), 0.75, degree=1, budget=40000, seed=0, samples=256)
+        assert result.evaluations < 40000
         assert not result.budget_exhausted
+
+    def test_budget_is_the_only_stop(self):
+        # an iteration cap stopped every start of this search after 1,314 evaluations
+        result = tier_b_search(QUARTER, 0.5, degree=1, budget=2000, seed=1, samples=256)
+        assert result.evaluations == 2000
+        assert result.budget_exhausted
 
     def test_conjecture_gap_is_reported_not_asserted(self):
         result = tier_b_search(QUARTER, 0.5, degree=1, budget=60, seed=1)
@@ -273,3 +296,12 @@ class TestMonotonicityScan:
     def test_grid_floor(self):
         with pytest.raises(DomainValidationError):
             monotonicity_scan(QUARTER, grid=4)
+
+    def test_grid_is_an_integer(self):
+        # 10.5 ran an 11-point scan, 8.0 was accepted and '16' raised TypeError
+        for grid in (10.5, 8.0, "16", True, np.True_):
+            with pytest.raises(DomainValidationError, match="grid must be an integer >= 8"):
+                monotonicity_scan(QUARTER, grid=grid)
+        report = monotonicity_scan(QUARTER, grid=np.int64(8))
+        assert len(report.values) == 8
+        assert list(report.values) == [annulus_lower_bound(QUARTER, x).value for x in report.rho]
