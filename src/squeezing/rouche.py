@@ -5,10 +5,12 @@ annulus bounded by two circles) is the contour integral of f'/f divided by
 2*pi*i, evaluated with the trapezoidal rule on equispaced samples, which is
 spectrally accurate for analytic integrands.  Dominance |g| < |f| on the
 contour forces f and f + g to enclose equally many zeros.  One kernel,
-``_quadrature``, computes this sum one contour at a time.  The boundary
-certificate of a Laurent map takes the same sum for f - w0 from the
-boundary curves it samples anyway, at two resolutions from one evaluation
-(the coarse sum reads the even-indexed nodes).
+``_quadrature``, computes this sum one contour at a time; the nodes of one
+level are the even nodes of the next, so each doubling evaluates only the
+new odd nodes and interleaves them with the integrands it kept.  The
+boundary certificate of a Laurent map takes the same sum for f - w0 from
+the boundary curves it samples anyway, at two resolutions from one
+evaluation (the coarse sum reads the even-indexed nodes).
 
 Injectivity on an annulus is certified by a proof chosen by the input
 alone.  A disc automorphism (built by ``disc_automorphism``) is injective
@@ -25,7 +27,8 @@ x directly follow it, with no gap, so the pairs at each offset up to
 each segment's successor, and only the boxes that overlap more go on in
 blocks: every overlapping pair is listed exactly once.  One sampler,
 ``annulus_basis``, builds the power table of both boundary circles, here and
-in ``search``.  Any other map is inconclusive.
+in ``search``, one complex product per power (``laurent_basis``).  Any
+other map is inconclusive.
 "inconclusive" is an allowed terminal state, reported with the test that
 failed, and consumers must treat it as unusable, never as a certification.
 """
@@ -79,7 +82,7 @@ class CircleContour:
         if self.orientation not in (1, -1):
             raise DomainValidationError("orientation must be +1 or -1")
         n = self.samples
-        if n < 64 or n & (n - 1):
+        if not _is_integer(n) or n < 64 or n & (n - 1):
             raise DomainValidationError("samples must be a power of two >= 64")
 
 
@@ -149,10 +152,27 @@ def laurent_basis(z, degree: int) -> np.ndarray:
     contiguous run, which the matrix-vector product reads faster than rows
     of 2m+1 entries, and every caller shares that one layout, so equal
     inputs give equal bits.
+
+    Each power is one complex product, z^k = z^(k-1) z and
+    z^(-k) = z^(-(k-1)) z^(-1) with z^(-1) = 1 / z, so the error grows like
+    |k| ulps, as with numpy's complex ``pow``: 3.2-3.6 |k| ulps against the
+    exact powers of ``annulus_basis`` nodes up to degree 32, most of it the
+    nodes' own rounding.  Out of range the products follow IEEE arithmetic:
+    at 0 the negative powers are not finite (1 / 0 is inf + nan j); a power
+    beyond the double range is inf and one below it is 0, so 1e200 gives
+    z^-2 = 0; at inf the negative powers are 0 and z^2 is inf + nan j; NaN
+    gives NaN in every power but z^0 = 1.
     """
     z = np.asarray(z, dtype=complex)
-    powers = np.arange(-degree, degree + 1).reshape(-1, *(1,) * z.ndim)
-    return np.moveaxis(z ** powers, 0, -1)
+    table = np.empty((2 * degree + 1, *z.shape), dtype=complex)
+    table[degree, ...] = 1.0
+    if degree:
+        table[degree + 1, ...] = z
+        np.divide(1.0, z, out=table[degree - 1, ...])
+    for k in range(2, degree + 1):
+        np.multiply(table[degree + k - 1, ...], z, out=table[degree + k, ...])
+        np.multiply(table[degree - k + 1, ...], table[degree - 1, ...], out=table[degree - k, ...])
+    return np.moveaxis(table, 0, -1)
 
 
 def annulus_basis(inner_radius: float, samples: int, degree: int, *extra) -> np.ndarray:
@@ -222,8 +242,10 @@ def unit_annulus_contours(inner_radius: float, samples: int = 64):
     )
 
 
-def _circle_nodes(contour: CircleContour, n: int):
-    theta = 2.0 * np.pi * np.arange(n) / n
+def _circle_nodes(contour: CircleContour, n: int, odd: bool = False):
+    """The n equispaced nodes of the contour, or only its odd-indexed ones;
+    node j has the bits of node j / 2 at n / 2 samples when j is even."""
+    theta = 2.0 * np.pi * (np.arange(1, n, 2) if odd else np.arange(n)) / n
     ring = contour.radius * np.exp(1j * theta)
     return contour.center + ring, ring
 
@@ -234,18 +256,23 @@ def _as_contours(contours) -> tuple[CircleContour, ...]:
     return tuple(contours)
 
 
-def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int):
+def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, integrands: list):
     """Argument-principle sum of f over the oriented contours at n samples per
-    contour; raises GuardViolation when min |f| over the samples is at most
-    GUARD_THRESHOLD (or NaN).
+    contour; raises GuardViolation when min |f| over the new samples is at
+    most GUARD_THRESHOLD (or NaN).
 
-    The contours are evaluated one at a time, so only one contour's samples
-    are alive at once.
+    ``integrands`` holds each contour's integrands f' / f * (z - center) of
+    the previous level, n / 2 samples, whose nodes are the even nodes at n;
+    only the odd nodes are evaluated and interleaved with them, and the list
+    is refilled with the n integrands.  An empty list evaluates every node.
+    The contours are evaluated one at a time, so one contour's samples, plus
+    each contour's integrands of the previous level, are alive at once.
     """
+    refine = bool(integrands)
     total = 0j
     margin = np.inf
-    for contour in contours:
-        z, ring = _circle_nodes(contour, n)
+    for i, contour in enumerate(contours):
+        z, ring = _circle_nodes(contour, n, odd=refine)
         values = np.asarray(f.evaluator(z), dtype=complex)
         derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
         del z
@@ -254,7 +281,15 @@ def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int):
         # f vanishing on the contour gives a non-finite sum; the guard
         # rejects it, so the arithmetic may proceed silently
         with np.errstate(divide="ignore", invalid="ignore"):
-            total += contour.orientation * (derivatives / values * ring).mean()
+            integrand = derivatives / values * ring
+        del values, derivatives, ring
+        if refine:
+            full = np.empty(n, dtype=complex)
+            full[0::2], full[1::2] = integrands[i], integrand
+            integrands[i] = integrand = full
+        else:
+            integrands.append(integrand)
+        total += contour.orientation * integrand.mean()
     if not margin > GUARD_THRESHOLD:  # a NaN margin fails too
         raise GuardViolation(f"|f| = {margin:.3e} <= guard {GUARD_THRESHOLD:.1e} on the contours")
     return total
@@ -264,17 +299,23 @@ def zero_count_detailed(f: SampledMap, contours) -> CountResult:
     """Zeros of f (with multiplicity) enclosed by the oriented contours.
 
     Sample counts are doubled adaptively until the quadrature value
-    stabilises, capped at MAX_SAMPLES.  Raises GuardViolation if |f| dips to
+    stabilises, capped at MAX_SAMPLES.  Each doubling keeps every contour's
+    integrands and evaluates only the new odd nodes, so one contour's
+    samples, plus each contour's integrands of the previous level, are alive
+    at once; when f and f' compute each node alone (as ``polynomial_map``
+    and elementwise maps do), every sum and margin has the bits of a fresh
+    evaluation of all nodes.  Raises GuardViolation if |f| dips to
     GUARD_THRESHOLD (or is NaN) at any evaluated sample and
     NonIntegerResidual if the settled value is farther than SNAP_WINDOW from
     an integer, or at once when a quadrature value is not finite.
     """
     contour_tuple = _as_contours(contours)
     n = max(c.samples for c in contour_tuple)
-    value = _quadrature(f, contour_tuple, n)
+    integrands = []
+    value = _quadrature(f, contour_tuple, n, integrands)
     while np.isfinite(value) and n < MAX_SAMPLES:
         n *= 2
-        refined = _quadrature(f, contour_tuple, n)
+        refined = _quadrature(f, contour_tuple, n, integrands)
         stable = abs(refined - value) <= _STABLE_TOL
         value = refined
         if stable:
@@ -512,9 +553,11 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     # preimages of w0 = f(sqrt r): the winding number of the outer curve about
     # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0))
     w0 = laurent_basis(math.sqrt(inner_radius), m) @ c
-    margin = np.abs(nodes - w0).min()
+    offset = nodes - w0
+    margin = np.abs(offset).min()
+    offset *= 1j  # the bits of 1j * (nodes - w0)
     with np.errstate(divide="ignore", invalid="ignore"):  # T = w0 at a node fails the margin
-        winding = tangents / (1j * (nodes - w0))
+        winding = tangents / offset
     fine, coarse = (winding[0, ::stride].mean() - winding[1, ::stride].mean() for stride in (1, 2))
     count = _trusted_count(fine, coarse, margin)
     if count is not None and count >= 2:
@@ -531,11 +574,19 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     second = scale @ (k * k)
     tubes = step * step / 8.0 * second + _ROUNDING * scale.sum(axis=1)
     tube = float(tubes.max())
-    speed = np.abs(tangents) - _ROUNDING * (scale @ np.abs(k))[:, None]
-    if not np.all(speed - step * second[:, None] > 2.0 * step * second[:, None]):
+    # rounding is monotone, so the slowest node of each curve decides for all
+    # of them (a NaN speed fails)
+    speed = np.abs(tangents).min(axis=1) - _ROUNDING * (scale @ np.abs(k))
+    if not np.all(speed - step * second > 2.0 * step * second):
         return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
-    # each step turns the tangent by less than pi, so these are the exact turning numbers
-    turning = np.rint(np.angle(np.roll(tangents, -1, axis=1) / tangents).sum(axis=1) / (2.0 * np.pi))
+    # the turning number is the winding of T' about 0.  Within a step T' stays
+    # within h M of its first node, which is above 3 h M, so it is the signed
+    # count of the node-to-node chords that cross the negative real axis (+1
+    # from imag >= 0 to imag < 0), each crossing on the side of its first
+    # node's real part; a product of tangents would overflow from |T'| ~ 1e154
+    below = tangents.imag < 0.0
+    crossing = (np.roll(below, -1, axis=1) != below) & (tangents.real < 0.0)
+    turning = crossing.sum(axis=1) - 2 * (crossing & below).sum(axis=1)
     if turning[0] != turning[1]:
         return outcome("inconclusive", margin, "turning numbers differ", tube, critical)
     if not _curves_apart(nodes, tubes):
@@ -588,10 +639,12 @@ def injectivity_certificate(
     so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc
     between nodes lies within the tube h^2 M / 8 of its chord (plus a
     rounding allowance).  The map is certified only when
-    (a) every node has |T'| - h M > 2 h M: T' then moves by at most h M
+    (a) every node has |T'| - h M > 2 h M (tested at each curve's slowest
+        node, as rounding is monotone): T' then moves by at most h M
         within a step, T is injective on every two consecutive steps, and the
-        tangent turns by less than pi per step, so the sampled turning
-        numbers are exact, and they must agree;
+        tangent turns by less than pi per step, so the turning numbers
+        counted from the wraps of the tangents' principal angles are exact,
+        and they must agree;
     (b) every segment has a positive, finite squared length, and every two
         segments that are not neighbours on one curve, and every pair across
         the two curves, lie farther apart than their two tubes.  Only pairs

@@ -45,6 +45,54 @@ def annulus_sums_at(f, inner_radius, w, n):
     return total, margin
 
 
+def from_scratch_count(f, contours):
+    """Reference for zero_count_detailed: each level evaluates all of its
+    nodes afresh; returns (count, residual, samples)."""
+    contours = (contours,) if isinstance(contours, CircleContour) else tuple(contours)
+
+    def level(n):
+        total, margin = 0j, np.inf
+        for contour in contours:
+            ring = contour.radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+            z = contour.center + ring
+            values = np.asarray(f.evaluator(z), dtype=complex)
+            derivatives = np.asarray(f.derivative_evaluator(z), dtype=complex)
+            margin = min(margin, np.abs(values).min())
+            total += contour.orientation * (derivatives / values * ring).mean()
+        assert margin > rouche.GUARD_THRESHOLD
+        return total
+
+    n = max(contour.samples for contour in contours)
+    value = level(n)
+    while np.isfinite(value) and n < rouche.MAX_SAMPLES:
+        n *= 2
+        refined = level(n)
+        stable = abs(refined - value) <= 1e-10
+        value = refined
+        if stable:
+            break
+    nearest = np.rint(value.real)
+    return int(nearest), float(abs(value - nearest)), n
+
+
+def polynomial_with_roots(roots):
+    return polynomial_map(np.poly(roots)[::-1])
+
+
+# maps whose zeros sit 0.01-0.03 from a contour, so the count refines from 64
+# samples to thousands; the elementwise ones evaluate each node alone
+REFINED_COUNTS = {
+    "polynomial, circle": (polynomial_with_roots([0.1 + 0.2j + 0.88j, 0.5, -0.3 - 0.4j]),
+                           lambda n: CircleContour(0.1 + 0.2j, 0.9, 1, n)),
+    "polynomial, annulus": (polynomial_with_roots([0.98, 0.42j, 0.7 - 0.1j, 0.1]),
+                            lambda n: unit_annulus_contours(0.4, n)),
+    "exp(3z) - e^2.97, circle": (SampledMap(lambda z: np.exp(3 * z) - np.exp(2.97), lambda z: 3 * np.exp(3 * z)),
+                                 lambda n: CircleContour(samples=n)),
+    "(z - 0.97)(z - 0.42i), annulus": (SampledMap(lambda z: (z - 0.97) * (z - 0.42j), lambda z: 2 * z - 0.97 - 0.42j),
+                                       lambda n: unit_annulus_contours(0.4, n)),
+}
+
+
 class TestContourValidation:
     def test_samples_must_be_power_of_two(self):
         with pytest.raises(DomainValidationError):
@@ -63,6 +111,20 @@ class TestContourValidation:
     def test_orientation(self):
         with pytest.raises(DomainValidationError):
             CircleContour(orientation=2)
+
+    @pytest.mark.parametrize("samples", [64.0, 128.5, "64", True, None])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(DomainValidationError, match=r"samples must be a power of two >= 64"):
+            CircleContour(samples=samples)
+
+    @pytest.mark.parametrize("samples", [64.0, 128.5, "64"])
+    def test_annulus_contour_samples_must_be_an_integer(self, samples):
+        with pytest.raises(DomainValidationError, match=r"samples must be a power of two >= 64"):
+            unit_annulus_contours(0.5, samples)
+
+    def test_samples_accepts_numpy_integers(self):
+        detail = zero_count_detailed(monomial(2), CircleContour(samples=np.int64(128)))
+        assert (detail.count, detail.samples) == (2, 256)
 
 
 class TestZeroCount:
@@ -124,6 +186,19 @@ class TestZeroCount:
         hugging = SampledMap(lambda z: z - pole, lambda z: np.ones_like(z))
         with pytest.raises(NonIntegerResidual):
             zero_count(hugging, CircleContour())
+
+    @pytest.mark.parametrize("samples", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("name", sorted(REFINED_COUNTS))
+    def test_matches_a_from_scratch_reference(self, name, samples):
+        # each level keeps the last level's integrands as its even nodes; the
+        # count, the residual's bits and the samples are those of a count
+        # that evaluates every node at every level
+        f, contours = REFINED_COUNTS[name]
+        detail = zero_count_detailed(f, contours(samples))
+        count, residual, settled = from_scratch_count(f, contours(samples))
+        assert (detail.count, detail.residual.hex(), detail.samples) == (count, residual.hex(), settled)
+        if samples == 64:
+            assert detail.samples >= 1024  # several levels were interleaved
 
     def test_residual_shrinks_with_refinement(self):
         wobbly = polynomial_map([0.3, 0.0, 0.0, 1.0])
@@ -220,6 +295,51 @@ class TestLaurentBasis:
     def test_even_length_rejected(self):
         with pytest.raises(DomainValidationError):
             laurent_map([0, 1])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("degree", [2, 16, 32])
+    def test_annulus_basis_is_within_linear_ulps_of_the_exact_powers(self, degree):
+        # reference: the powers of the exact nodes rho e^(2 pi i j / n), the
+        # angle k j reduced mod n in integers and evaluated in long double;
+        # the double nodes themselves are off by about 3.2 ulps
+        r, n = 0.3, 4096
+        table = rouche.annulus_basis(r, n, degree)
+        j = np.arange(n)
+        pi = 4 * np.arctan(np.longdouble(1))
+        for column, k in enumerate(range(-degree, degree + 1)):
+            phase = 2 * pi * np.longdouble((k * j) % n) / n
+            unit = np.cos(phase) + 1j * np.sin(phase)
+            exact = np.concatenate([unit, np.longdouble(r) ** k * unit])
+            error = np.abs(table[:, column] - exact) / np.abs(exact)
+            assert error.max() <= (4 * abs(k) + 1) * np.finfo(float).eps, k
+
+    # z^-2, z^-1, z^0, z^1, z^2 by the products; numpy's pow gave NaN for z^-2
+    # at 1e200 and inf, and for z^-1 at 0 and inf
+    @pytest.mark.parametrize("z, powers", [
+        (0.0, [complex(np.nan, np.nan), complex(np.inf, np.nan), 1, 0, 0]),
+        (1e-200, [np.inf, 1e200, 1, 1e-200, 0]),
+        (1e200, [0, 1e-200, 1, 1e200, np.inf]),
+        (np.inf, [0, 0, 1, np.inf, complex(np.inf, np.nan)]),
+        (np.nan, [complex(np.nan, np.nan), complex(np.nan, np.nan), 1, np.nan, complex(np.nan, np.nan)]),
+    ])
+    def test_basis_out_of_range_is_pinned(self, z, powers):
+        expected = np.array(powers, dtype=complex)
+        with np.errstate(all="ignore"):
+            scalar = laurent_basis(z, 2)
+            vector = laurent_basis(np.full(3, z), 2)
+        assert scalar.shape == (5,) and vector.shape == (3, 5)
+        for table in (scalar, vector):
+            assert np.array_equal(table.real, np.broadcast_to(expected.real, table.shape), equal_nan=True)
+            assert np.array_equal(table.imag, np.broadcast_to(expected.imag, table.shape), equal_nan=True)
+
+    @pytest.mark.parametrize("r, degree", [(2.0 ** -512, 2), (1e-155, 2), (0.5, 1075), (1e-300, 2)])
+    def test_annulus_basis_refuses_an_overflowing_radius(self, r, degree):
+        with pytest.raises(DomainValidationError, match=f"1 / r\\*\\*{degree} overflows"):
+            rouche.annulus_basis(r, 64, degree)
+
+    def test_annulus_basis_stays_finite_at_the_smallest_radius_it_accepts(self):
+        # |z^-2| = 2^1022 on the inner circle, the largest power of two below the double maximum
+        assert np.all(np.isfinite(rouche.annulus_basis(2.0 ** -511, 4096, 2)))
 
 
 class TestInjectivityCertificate:
@@ -427,6 +547,14 @@ class TestBoundaryCertificate:
             cert = injectivity_certificate(joukowski(lam), r, samples=1024)
             assert (cert.status, cert.reason) == ("inconclusive", "turning numbers differ"), (r, lam)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150, 1e155])
+    def test_turning_numbers_do_not_depend_on_the_scale(self, scale):
+        # z and r/z scaled: from |T'| ~ 1.3e154 a product of two tangents
+        # overflows, yet the curves' turning numbers stay +1 and -1
+        for coefficients in ([0, 0, scale], [0.5 * scale, 0, 0]):
+            cert = injectivity_certificate(laurent_map(coefficients), 0.5, samples=512)
+            assert (cert.status, cert.reason) == ("certified", None), coefficients
+
     def test_hash_matches_brute_force(self):
         rng = np.random.default_rng(5)
         outcomes = []
@@ -583,6 +711,36 @@ CORPUS_OUTCOMES = [
 ]
 
 
+def high_degree_map(name, r):
+    """A degree-16 or degree-32 map of the pinned corpus at inner radius r;
+    the degree-32 map adds to z the terms 0.3^k e^(0.7ik) / k^2 z^k (k >= 2)
+    and 0.3 lam^k / k^2 z^-k (k >= 1), lam = r^2 e^(0.7i)."""
+    m = 32 if name == "near identity, degree 32" else 16
+    c = np.zeros(2 * m + 1, dtype=complex)
+    c[m + 1] = 1.0
+    if name == "z + eps z^16":
+        c[2 * m] = 0.03 + 0.01j
+    elif name == "z^16":
+        c[m + 1], c[2 * m] = 0.0, 1.0
+    else:
+        k = np.arange(1, m + 1)
+        c[m + 2:] += 0.3 ** k[1:] / k[1:] ** 2 * np.exp(0.7j * k[1:])
+        c[m - k] = 0.3 * (r * r * np.exp(0.7j)) ** k / k ** 2
+    return laurent_map(c)
+
+
+# the high-degree power tables, (map, r, samples, status, reason,
+# critical_points, min_boundary_modulus, tube)
+HIGH_DEGREE_OUTCOMES = [
+    ("z + eps z^16", 0.25, 2048, "certified", None, 0, 0.2500004577567335, 2.675304966211394e-06),
+    ("z^16", 0.25, 2048, "refuted", None, 0, 1.5258556231856346e-05, None),
+    ("near identity, degree 32", 0.25, 2048, "certified", None, 0, 0.22146155200476267, 3.3783855130809537e-07),
+    ("z + eps z^16", 0.5, 2048, "certified", None, 0, 0.20722351457589086, 2.675304966211394e-06),
+    ("z^16", 0.5, 2048, "refuted", None, 0, 0.003890991210937507, None),
+    ("near identity, degree 32", 0.5, 2048, "certified", None, 0, 0.17709306532838331, 3.6136958312850483e-07),
+]
+
+
 class TestCertificateCorpus:
     def test_outcomes_are_pinned(self):
         # the last bits of the modulus and the tube follow the BLAS build
@@ -592,6 +750,13 @@ class TestCertificateCorpus:
             assert (cert.status, cert.reason, cert.critical_points) == (status, reason, critical), case
             assert cert.min_boundary_modulus == pytest.approx(modulus, rel=1e-12), case
             assert cert.tube == (tube if tube is None else pytest.approx(tube, rel=1e-12)), case
+
+    @pytest.mark.parametrize("name, r, samples, status, reason, critical, modulus, tube", HIGH_DEGREE_OUTCOMES)
+    def test_high_degree_outcomes_are_pinned(self, name, r, samples, status, reason, critical, modulus, tube):
+        cert = injectivity_certificate(high_degree_map(name, r), r, samples=samples)
+        assert (cert.status, cert.reason, cert.critical_points) == (status, reason, critical)
+        assert cert.min_boundary_modulus == pytest.approx(modulus, rel=1e-12)
+        assert cert.tube == (tube if tube is None else pytest.approx(tube, rel=1e-12))
 
 
 MILD = laurent_map([0.01, 0.05j, 0.02, 1.0, 0.1 - 0.03j])
