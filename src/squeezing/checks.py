@@ -61,8 +61,6 @@ from .symmetric import (
 
 TOL = hyperbolic.TOLERANCE
 
-SUITE_NAMES = ("metrics", "rouche", "symmetric", "planar", "search", "all")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,7 +74,7 @@ def _result(module, invariant, passed, witness=""):
     return CheckResult(module, invariant, bool(passed), witness)
 
 
-def _disc_points(rng, count, cap=0.95):
+def _sample_disc(rng, count, cap=0.95):
     return uniform_ball_points(rng, 1, count, cap)[:, 0]
 
 
@@ -119,7 +117,7 @@ def suite_metrics():
     gap = euclidean_radius(u + v) - (euclidean_radius(u) + euclidean_radius(v))
     results.append(_result("hyperbolic", "tanh-subadditivity", np.all(gap <= TOL), f"max gap {gap.max():.2e}"))
 
-    a, b, c = _disc_points(rng, 3000).reshape(3, -1)
+    a, b, c = _sample_disc(rng, 3000).reshape(3, -1)
     tab = bounded_metric(poincare_distance(a, b))
     identity = bounded_metric(poincare_distance(a, a)) != 0.0
     asymmetric = identity | (np.abs(tab - bounded_metric(poincare_distance(b, a))) > TOL)
@@ -133,7 +131,7 @@ def suite_metrics():
     witness = _first(asymmetric | triangle, broken)
     results.append(_result("hyperbolic", "compressed-metric-axioms", not witness, witness))
 
-    a, b, c = _disc_points(rng, 3000).reshape(3, -1)
+    a, b, c = _sample_disc(rng, 3000).reshape(3, -1)
     moved = np.abs(poincare_distance(mobius_map(c, a), mobius_map(c, b)) - poincare_distance(a, b)) > TOL
     witness = _first(moved, lambda i: f"at {a[i]}, {b[i]}, {c[i]}")
     results.append(_result("hyperbolic", "mobius-invariance", not witness, witness))
@@ -142,7 +140,7 @@ def suite_metrics():
         a, b = ab
         return abs(kobayashi_distance([a], [b]) - poincare_distance(a, b)) > TOL
 
-    witness = _counterexample(differs, _disc_points(rng, 2000).reshape(-1, 2), lambda ab: f"at {ab}")
+    witness = _counterexample(differs, _sample_disc(rng, 2000).reshape(-1, 2), lambda ab: f"at {ab}")
     results.append(_result("hyperbolic", "ball-matches-disc-dim1", not witness, witness))
     return results
 
@@ -393,14 +391,24 @@ def suite_planar():
     near = excised_domain_lower_bound(domain, near_point)
     floor = min(domain.near_constant, domain.far_constant)
     ok = at_origin.witness["region"] == "far" and near.witness["region"] == "near" and floor > 0.0
-    count = 0
-    for z in _disc_points(rng, 10000, cap=0.999):
-        if domain.contains(z):
-            count += 1
-            if excised_domain_lower_bound(domain, z).value < floor:
-                ok = False
-    ok = ok and count > 5000
-    results.append(_result("planar", "excised-domain-two-case", ok, f"{count} interior samples"))
+    # oracle: z lies in the hole of parameter a when |phi_a(z)| <= its radius,
+    # and in its collar when |phi_a(z)| < (v + w)/2; the domain and the bound must agree
+    points = _sample_disc(rng, 10000, cap=0.999)
+    moduli = np.abs([mobius_map(exc.center_param, points) for exc in domain.excisions])
+    inside = np.all(moduli > [[exc.radius] for exc in domain.excisions], axis=0)
+    in_collar = np.any(moduli < 0.5 * (domain.v + domain.w), axis=0)
+
+    def disagrees(i):
+        if not domain.contains(points[i]):
+            return inside[i]
+        bound = excised_domain_lower_bound(domain, points[i])
+        expected = ("near", domain.near_constant) if in_collar[i] else ("far", domain.far_constant)
+        return not inside[i] or (bound.witness["region"], bound.value) != expected
+
+    witness = _counterexample(disagrees, range(len(points)), lambda i: f"at {points[i]}")
+    count = int(inside.sum())
+    ok = ok and not witness and count > 5000
+    results.append(_result("planar", "excised-domain-two-case", ok, witness or f"{count} interior samples"))
 
     ball = PuncturedBall(2, (np.zeros(2),))
 
@@ -484,6 +492,7 @@ _SUITES = {
     "planar": suite_planar,
     "search": suite_search,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def _run(name: str):

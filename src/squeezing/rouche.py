@@ -45,7 +45,7 @@ from .errors import DomainValidationError, GuardViolation, NonIntegerResidual
 from .hyperbolic import _disc_points, _is_integer
 from .planar import Annulus
 
-#: Minimum allowed |f| (or |f - w|) at contour samples before a count is trusted.
+#: Minimum allowed |f| (or |f - w|, relative in the certificate) at contour samples before a count is trusted.
 GUARD_THRESHOLD = 1e-9
 
 #: A quadrature value farther than this from an integer signals trouble
@@ -550,16 +550,20 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     tangents = _table_product(basis, 1j * k * c).reshape(2, n)  # dT/dtheta = i z f'(z)
     del basis
 
+    radii = np.array([1.0, inner_radius])
+    scale = np.abs(c) * radii[:, None] ** k  # |c_k| rho^k, one row per circle
     # preimages of w0 = f(sqrt r): the winding number of the outer curve about
-    # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0))
+    # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0)),
+    # guarded relative to max_rho sum |c_k| rho^k, a bound on |T|
     w0 = laurent_basis(math.sqrt(inner_radius), m) @ c
     offset = nodes - w0
     margin = np.abs(offset).min()
     offset *= 1j  # the bits of 1j * (nodes - w0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # T = w0 at a node fails the margin
+    with np.errstate(divide="ignore", invalid="ignore"):  # T = w0 at a node, or f = 0, fails the guard
         winding = tangents / offset
+        relative_margin = margin / scale.sum(axis=1).max()
     fine, coarse = (winding[0, ::stride].mean() - winding[1, ::stride].mean() for stride in (1, 2))
-    count = _trusted_count(fine, coarse, margin)
+    count = _trusted_count(fine, coarse, relative_margin)
     if count is not None and count >= 2:
         return outcome("refuted", margin, critical=critical)
     if count != 1:
@@ -567,8 +571,6 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
         return outcome("inconclusive", margin, f"preimages of f(sqrt r): {count}", critical=critical)
 
     step = 2.0 * np.pi / n
-    radii = np.array([1.0, inner_radius])
-    scale = np.abs(c) * radii[:, None] ** k  # |c_k| rho^k, one row per circle
     # T(theta) = f(rho e^{i theta}) and its derivatives are trigonometric
     # polynomials: |T''| <= sum k^2 |c_k| rho^k on the whole circle
     second = scale @ (k * k)
@@ -632,8 +634,10 @@ def injectivity_certificate(
        one ``annulus_basis`` (which rejects an r whose 1 / r**m overflows); the
        preimages of w0 = f(sqrt r) are the winding number of the outer curve
        about w0 less that of the inner one, summed over all nodes and again
-       over the even nodes.  A trusted count >= 2 refutes, and any other
-       count but 1 is inconclusive.
+       over the even nodes.  The guard holds min |T - w0| relative to
+       max_rho sum |c_k| rho^k, so no outcome depends on the scale of f.
+       A trusted count >= 2 refutes, and any other count but 1 is
+       inconclusive.
 
     Then the same samples give the proof.  T is a trigonometric polynomial,
     so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezing import checks, planar
 from squeezing import (
     Annulus,
     Excision,
@@ -292,6 +293,32 @@ class TestExcisedDomain:
     def test_radius_window_enforced(self):
         with pytest.raises(DomainValidationError):
             ExcisedDomain(0.2, 0.3, 0.45, (Excision(0.5, 0.35),))
+
+
+class TestExcisedCheck:
+    def excised_result(self):
+        (result,) = [r for r in checks.suite_planar() if r.invariant == "excised-domain-two-case"]
+        return result
+
+    def test_membership_that_ignores_the_holes_fails(self, monkeypatch):
+        monkeypatch.setattr(planar.ExcisedDomain, "contains", lambda self, z: abs(complex(z)) < 1.0)
+        result = self.excised_result()
+        assert not result.passed
+        assert result.witness.startswith("at ")
+
+    def test_collars_of_radius_w_fail(self, monkeypatch):
+        fixture = checks.two_hole_domain
+
+        def widened():
+            domain = fixture()
+            collars = tuple(exc.circle_image(domain.w) for exc in domain.excisions)
+            object.__setattr__(domain, "collar_circles", collars)
+            return domain
+
+        monkeypatch.setattr(checks, "two_hole_domain", widened)
+        result = self.excised_result()
+        assert not result.passed
+        assert result.witness.startswith("at ")
 
 
 class TestPuncturedUpperBound:

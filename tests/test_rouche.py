@@ -555,6 +555,23 @@ class TestBoundaryCertificate:
             cert = injectivity_certificate(laurent_map(coefficients), 0.5, samples=512)
             assert (cert.status, cert.reason) == ("certified", None), coefficients
 
+    @pytest.mark.parametrize(
+        "coefficients, expected",
+        [
+            ([0, 0, 1], ("certified", None)),
+            ([0.5, 0, 0], ("certified", None)),
+            ([0, 0, 0, 0, 1], ("refuted", None)),
+            ([0, 0, 1, 0.2, 0], ("certified", None)),
+        ],
+        ids=["identity", "reflection", "square", "z+0.2z^2"],
+    )
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e12])
+    def test_outcome_does_not_depend_on_the_scale(self, coefficients, expected, scale):
+        # injectivity does not see a constant factor, and neither may the
+        # guard on the preimage count
+        cert = injectivity_certificate(laurent_map(np.multiply(coefficients, scale)), 0.5, samples=512)
+        assert (cert.status, cert.reason) == expected
+
     def test_hash_matches_brute_force(self):
         rng = np.random.default_rng(5)
         outcomes = []

@@ -12,7 +12,9 @@ from squeezing import (
     kubota_constant,
     product_constant,
     punctured_ball_squeezing,
+    sandwich_check_type_i,
 )
+from squeezing import symmetric
 from squeezing.errors import (
     DomainValidationError,
     EmptyList,
@@ -209,6 +211,16 @@ class TestMembership:
                 z = 0.9 * z
             for t in np.linspace(0.1, 0.9, 9):
                 assert contains(domain, t * z)
+
+
+class TestSandwichCheck:
+    @pytest.mark.parametrize("r, s, samples, seed", [(1, 1, 200, 1), (2, 2, 300, 2), (2, 3, 1000, 3)])
+    @pytest.mark.parametrize("bound", [math.inf, 1.5, 0.5], ids=["everything", "op-below-1.5", "op-below-0.5"])
+    def test_wrong_membership_fails(self, monkeypatch, r, s, samples, seed, bound):
+        # a membership test that accepts too much (everything, or ||Z||_op < 1.5)
+        # breaks the outer inclusion; one that accepts too little breaks the inner
+        monkeypatch.setattr(symmetric, "contains", lambda domain, z: np.linalg.norm(z, 2) < bound)
+        assert not sandwich_check_type_i(r, s, samples=samples, seed=seed)
 
 
 class TestConstants:
