@@ -370,9 +370,10 @@ def completeness_criterion(
 
     When the inequality holds with a positive constant for all points with
     delta < 1, the Caratheodory metric of the domain is complete.  The report
-    carries the worst margin (most negative means worst violation).
+    carries the worst margin (most negative means worst violation); a NaN
+    margin fails the report at its point.
     """
-    if constant <= 0.0:
+    if not constant > 0.0:  # NaN fails too
         raise DomainValidationError("the criterion constant must be positive")
     worst_margin = np.inf
     worst_point = None
@@ -381,7 +382,9 @@ def completeness_criterion(
         if not 0.0 < delta < 1.0:
             raise DomainValidationError("sample points must have boundary distance in (0, 1)")
         margin = bound_fn(point) - constant / math.log(1.0 / delta)
-        if margin < worst_margin:
+        if math.isnan(margin):
+            return CompletenessReport(False, math.nan, point)
+        if worst_point is None or margin < worst_margin:
             worst_margin = margin
             worst_point = point
     if worst_point is None:

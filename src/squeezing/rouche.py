@@ -8,9 +8,11 @@ contour forces f and f + g to enclose equally many zeros.  One kernel,
 ``_quadrature``, computes this sum one contour at a time; the nodes of one
 level are the even nodes of the next, so each doubling evaluates only the
 new odd nodes and interleaves them with the integrands it kept.  The
-boundary certificate of a Laurent map takes the same sum for f - w0 from
-the boundary curves it samples anyway, at two resolutions from one
-evaluation (the coarse sum reads the even-indexed nodes).
+boundary certificate of a Laurent map counts windings without quadrature:
+``_winding`` counts the chords of a sampled curve that cross a ray, exact
+when each step stays in a disc around its first node that misses the
+centre, a bound the certificate proves from the coefficients for both its
+counts, the preimages of f(sqrt r) and the turning numbers.
 
 Injectivity on an annulus is certified by a proof chosen by the input
 alone.  A disc automorphism (built by ``disc_automorphism``) is injective
@@ -20,12 +22,8 @@ certified from its two boundary curves: no critical point in the annulus
 (located by ``np.roots``), and simple, disjoint image curves, each checked
 against bounds computed from the coefficients (see
 ``injectivity_certificate``); its cost depends on the sample count only.
-Disjointness is tested on the segment pairs whose tube-widened boxes
-overlap.  Sorted by their low x side, the later boxes that overlap a box on
-x directly follow it, with no gap, so the pairs at each offset up to
-``_OFFSETS`` are two contiguous slices, curve neighbours are told apart by
-each segment's successor, and only the boxes that overlap more go on in
-blocks: every overlapping pair is listed exactly once.  One sampler,
+Disjointness is tested only on the segment pairs whose tube-widened boxes
+overlap, each listed once (``_curves_apart``).  One sampler,
 ``annulus_basis``, builds the power table of both boundary circles, here and
 in ``search``, one complex product per power (``laurent_basis``).  Any
 other map is inconclusive.
@@ -41,11 +39,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainValidationError, GuardViolation, NonIntegerResidual
+from .errors import DomainValidationError, EmptyList, GuardViolation, NonIntegerResidual
 from .hyperbolic import _disc_points, _is_integer
 from .planar import Annulus
 
-#: Minimum allowed |f| (or |f - w|, relative in the certificate) at contour samples before a count is trusted.
+#: Minimum allowed |f| at the contour samples before ``zero_count_detailed`` trusts a count.
 GUARD_THRESHOLD = 1e-9
 
 #: A quadrature value farther than this from an integer signals trouble
@@ -77,6 +75,8 @@ class CircleContour:
     samples: int = 64
 
     def __post_init__(self):
+        if not (isinstance(self.center, (complex, float, int, np.number)) and np.isfinite(self.center)):
+            raise DomainValidationError("contour centre must be a finite number")
         if not self.radius > 0.0:  # also rejects nan
             raise DomainValidationError("contour radius must be positive")
         if self.orientation not in (1, -1):
@@ -250,10 +250,13 @@ def _circle_nodes(contour: CircleContour, n: int, odd: bool = False):
     return contour.center + ring, ring
 
 
-def _as_contours(contours) -> tuple[CircleContour, ...]:
-    if isinstance(contours, CircleContour):
-        return (contours,)
-    return tuple(contours)
+def _as_contours(contours) -> tuple[tuple[CircleContour, ...], int]:
+    """The contours as a tuple, and the most samples any of them asks for;
+    raises EmptyList when there is none."""
+    contour_tuple = (contours,) if isinstance(contours, CircleContour) else tuple(contours)
+    if not contour_tuple:
+        raise EmptyList("at least one contour is required")
+    return contour_tuple, max(c.samples for c in contour_tuple)
 
 
 def _quadrature(f: SampledMap, contours: Sequence[CircleContour], n: int, integrands: list):
@@ -307,10 +310,10 @@ def zero_count_detailed(f: SampledMap, contours) -> CountResult:
     evaluation of all nodes.  Raises GuardViolation if |f| dips to
     GUARD_THRESHOLD (or is NaN) at any evaluated sample and
     NonIntegerResidual if the settled value is farther than SNAP_WINDOW from
-    an integer, or at once when a quadrature value is not finite.
+    an integer, or at once when a quadrature value is not finite; EmptyList
+    when no contour is given.
     """
-    contour_tuple = _as_contours(contours)
-    n = max(c.samples for c in contour_tuple)
+    contour_tuple, n = _as_contours(contours)
     integrands = []
     value = _quadrature(f, contour_tuple, n, integrands)
     while np.isfinite(value) and n < MAX_SAMPLES:
@@ -336,32 +339,18 @@ def zero_count(f: SampledMap, contours) -> int:
 def rouche_dominates(f: SampledMap, g: SampledMap, contours) -> bool:
     """True iff max |g| * 1.05 < min |f| over the contour samples.
 
-    When true, f and f + g enclose the same number of zeros.
+    When true, f and f + g enclose the same number of zeros.  No contour
+    raises EmptyList.
     """
-    contour_tuple = _as_contours(contours)
-    n = max(c.samples for c in contour_tuple)
+    contour_tuple, n = _as_contours(contours)
     min_f = np.inf
     max_g = 0.0
     for contour in contour_tuple:
         z, _ = _circle_nodes(contour, n)
-        min_f = min(min_f, np.abs(np.asarray(f.evaluator(z))).min())
-        max_g = max(max_g, np.abs(np.asarray(g.evaluator(z))).max())
+        # np.minimum and np.maximum, not min and max: a NaN must fail the test
+        min_f = np.minimum(min_f, np.abs(np.asarray(f.evaluator(z))).min())
+        max_g = np.maximum(max_g, np.abs(np.asarray(g.evaluator(z))).max())
     return bool(max_g * _DOMINANCE_SAFETY < min_f)
-
-
-def _trusted_count(fine, coarse, margin) -> int | None:
-    """The nearest count, trusted only when the guard margin holds and both
-    resolutions snap to the same integer within the window; else None."""
-    nearest = np.rint(fine.real)
-    coarse_nearest = np.rint(coarse.real)
-    if (
-        margin > GUARD_THRESHOLD
-        and abs(fine - nearest) <= SNAP_WINDOW
-        and abs(coarse - coarse_nearest) <= SNAP_WINDOW
-        and nearest == coarse_nearest
-    ):
-        return int(nearest)
-    return None
 
 
 def _segment_distances(p1, q1, p2, q2):
@@ -517,6 +506,22 @@ def _roots(p: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=complex)
 
 
+def _winding(values: np.ndarray) -> np.ndarray:
+    """Winding numbers about 0 of the closed polygons through the rows of
+    ``values``: the signed count of chords that cross the negative real axis
+    (+1 from imag >= 0 to imag < 0), each on the side of its first node.
+
+    It is the winding number of every closed curve through the nodes whose
+    step from each node a lies, with its chord, in a disc around a of radius
+    below |a|: a chord there that changes the sign of imag meets the real
+    axis at an x with |x - a| < |a|, so of the sign of Re a.  Only the signs
+    of the parts are read, and rounding a difference keeps them.
+    """
+    below = values.imag < 0.0
+    crossing = (np.roll(below, -1, axis=1) != below) & (values.real < 0.0)
+    return crossing.sum(axis=1) - 2 * (crossing & below).sum(axis=1)
+
+
 def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     """Boundary certificate of the Laurent map f = sum c_k z^k; see
     ``injectivity_certificate``."""
@@ -550,45 +555,40 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     tangents = _table_product(basis, 1j * k * c).reshape(2, n)  # dT/dtheta = i z f'(z)
     del basis
 
+    step = 2.0 * np.pi / n
     radii = np.array([1.0, inner_radius])
     scale = np.abs(c) * radii[:, None] ** k  # |c_k| rho^k, one row per circle
+    size = scale.sum(axis=1)  # >= |T| on each circle
+    lipschitz = scale @ np.abs(k)  # >= |T'| on each circle
     # preimages of w0 = f(sqrt r): the winding number of the outer curve about
-    # w0 less that of the inner one; z f'(z) / (f(z) - w0) = T' / (i (T - w0)),
-    # guarded relative to max_rho sum |c_k| rho^k, a bound on |T|
+    # w0 less that of the inner one, exact when every node of each curve is
+    # farther from w0 than that curve's reach (a NaN distance fails)
     w0 = laurent_basis(math.sqrt(inner_radius), m) @ c
     offset = nodes - w0
-    margin = np.abs(offset).min()
-    offset *= 1j  # the bits of 1j * (nodes - w0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # T = w0 at a node, or f = 0, fails the guard
-        winding = tangents / offset
-        relative_margin = margin / scale.sum(axis=1).max()
-    fine, coarse = (winding[0, ::stride].mean() - winding[1, ::stride].mean() for stride in (1, 2))
-    count = _trusted_count(fine, coarse, relative_margin)
-    if count is not None and count >= 2:
+    distance = np.abs(offset).min(axis=1)
+    margin = distance.min()
+    if not np.all(distance > step * lipschitz + _ROUNDING * (2.0 * size + size.max())):
+        return outcome("inconclusive", margin, "preimages of f(sqrt r): untrusted", critical=critical)
+    winding = _winding(offset)
+    count = int(winding[0] - winding[1])
+    if count >= 2:
         return outcome("refuted", margin, critical=critical)
     if count != 1:
-        count = "untrusted" if count is None else count
         return outcome("inconclusive", margin, f"preimages of f(sqrt r): {count}", critical=critical)
 
-    step = 2.0 * np.pi / n
     # T(theta) = f(rho e^{i theta}) and its derivatives are trigonometric
     # polynomials: |T''| <= sum k^2 |c_k| rho^k on the whole circle
     second = scale @ (k * k)
-    tubes = step * step / 8.0 * second + _ROUNDING * scale.sum(axis=1)
+    tubes = step * step / 8.0 * second + _ROUNDING * size
     tube = float(tubes.max())
     # rounding is monotone, so the slowest node of each curve decides for all
     # of them (a NaN speed fails)
-    speed = np.abs(tangents).min(axis=1) - _ROUNDING * (scale @ np.abs(k))
+    speed = np.abs(tangents).min(axis=1) - _ROUNDING * lipschitz
     if not np.all(speed - step * second > 2.0 * step * second):
         return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
-    # the turning number is the winding of T' about 0.  Within a step T' stays
-    # within h M of its first node, which is above 3 h M, so it is the signed
-    # count of the node-to-node chords that cross the negative real axis (+1
-    # from imag >= 0 to imag < 0), each crossing on the side of its first
-    # node's real part; a product of tangents would overflow from |T'| ~ 1e154
-    below = tangents.imag < 0.0
-    crossing = (np.roll(below, -1, axis=1) != below) & (tangents.real < 0.0)
-    turning = crossing.sum(axis=1) - 2 * (crossing & below).sum(axis=1)
+    # the turning number is the winding of T' about 0: within a step T'
+    # stays within h M of its first node, which is above 3 h M
+    turning = _winding(tangents)
     if turning[0] != turning[1]:
         return outcome("inconclusive", margin, "turning numbers differ", tube, critical)
     if not _curves_apart(nodes, tubes):
@@ -633,11 +633,17 @@ def injectivity_certificate(
        their tangents are sampled once, at 2*samples nodes with step h, from
        one ``annulus_basis`` (which rejects an r whose 1 / r**m overflows); the
        preimages of w0 = f(sqrt r) are the winding number of the outer curve
-       about w0 less that of the inner one, summed over all nodes and again
-       over the even nodes.  The guard holds min |T - w0| relative to
-       max_rho sum |c_k| rho^k, so no outcome depends on the scale of f.
-       A trusted count >= 2 refutes, and any other count but 1 is
-       inconclusive.
+       about w0 less that of the inner one, each counted by ``_winding`` on
+       T - w0.  Every node of a curve must lie farther from w0 than
+       R = h L + 2 e + e_w, with L = sum |k c_k| rho^k >= |T'|, the node
+       rounding e = ``_ROUNDING`` sum |c_k| rho^k and e_w = ``_ROUNDING``
+       max_rho sum |c_k| rho^k for w0 (the sum is log-convex in log rho).
+       Then each step of T from a node a, and the chord of the computed
+       nodes, lie within h L + e of a, which is farther than that from w0
+       and its computed value, and within h L + 2 e < |T - w0| of the chord's
+       first node: the crossing count is exact.  R and |T - w0| both scale
+       with c.  A curve that fails (NaN too) leaves the count untrusted; a
+       count >= 2 refutes, and any other count but 1 is inconclusive.
 
     Then the same samples give the proof.  T is a trigonometric polynomial,
     so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc
@@ -646,21 +652,14 @@ def injectivity_certificate(
     (a) every node has |T'| - h M > 2 h M (tested at each curve's slowest
         node, as rounding is monotone): T' then moves by at most h M
         within a step, T is injective on every two consecutive steps, and the
-        tangent turns by less than pi per step, so the turning numbers
-        counted from the wraps of the tangents' principal angles are exact,
-        and they must agree;
+        tangent turns by less than pi per step, so the turning numbers,
+        the winding numbers of the tangents about 0 counted by ``_winding``,
+        are exact, and they must agree;
     (b) every segment has a positive, finite squared length, and every two
         segments that are not neighbours on one curve, and every pair across
-        the two curves, lie farther apart than their two tubes.  Only pairs
-        whose tube-widened boxes overlap are measured: a pair whose boxes
-        are apart on x or on y is apart (the box sides round by ulps of
-        |T|, far inside the tubes' rounding allowance).  Sorted once by
-        their low x side, a box overlaps on x exactly the boxes at offsets
-        1..count after it, as lx only grows, so slices at offsets 1 to
-        ``_OFFSETS`` followed by blocks for the boxes with a larger count
-        list every such pair once; the neighbours are the pairs in which
-        one segment is the other's successor on its curve.  Memory stays
-        O(samples).
+        the two curves, lie farther apart than their two tubes; only the
+        pairs whose tube-widened boxes overlap are measured, in O(samples)
+        memory (``_curves_apart``).
     A crossing found this way is only ever inconclusive, never a refutation.
 
     Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)

@@ -174,21 +174,22 @@ def contains(domain: ClassicalDomain, point) -> bool:
     return _positive_definite(h)
 
 
-def _huge_inverse_sqrt(m: int) -> float:
-    """m^{-1/2} rounded to nearest, for an integer m too large for a float.
+def _inverse_sqrt(m: int) -> float:
+    """m^{-1/2} rounded to nearest, for an integer m >= 1 of any size.
 
     floor(2^k / sqrt(m)) = isqrt(floor(4^k / m)) holds exactly in integers,
-    and k puts it in [2^62, 2^63].  Setting its last bit when the root is
-    inexact (rounding to odd) makes the one rounding to 53 bits in float()
-    round the exact value to nearest.  A value below the least normal double
-    2^-1022 (m > 2^2044) is refused with DomainValidationError, as it would
-    lose bits.
+    and k puts it in [2^55, 2^56], at least two bits beyond a double's 53.
+    Setting its last bit when the root is inexact (rounding to odd) makes
+    the one rounding to 53 bits in float() round the exact value to nearest.
+    A value below the least normal double (m > 2^2044) is refused with
+    DomainValidationError, as it would lose bits.
     """
     if m > 1 << 2044:
         raise DomainValidationError("the squeezing constant m^(-1/2) is below the least normal double: m > 2^2044")
-    k = 62 + (m.bit_length() + 1) // 2
-    root = math.isqrt((1 << 2 * k) // m)
-    if root * root * m != 1 << 2 * k:
+    k = 55 + (m.bit_length() + 1) // 2
+    scaled = 1 << 2 * k
+    root = math.isqrt(scaled // m)
+    if root * root * m != scaled:
         root |= 1
     return math.ldexp(float(root), -k)
 
@@ -196,17 +197,12 @@ def _huge_inverse_sqrt(m: int) -> float:
 def kubota_constant(domain: ClassicalDomain) -> BoundCertificate:
     """Exact squeezing value of a classical domain: m^{-1/2} with integer m.
 
-    The value is ``m ** -0.5`` wherever float(m) is finite (m below about
-    1.8e308); beyond, it is m^{-1/2} rounded to nearest, computed from the
-    integer (see ``_huge_inverse_sqrt``, which refuses an m above 2^2044).
+    The value is m^{-1/2} rounded to nearest, computed from the integer (see
+    ``_inverse_sqrt``, which refuses an m above 2^2044).
     """
     m = domain.inverse_square_constant
-    try:
-        value = m ** -0.5
-    except OverflowError:  # float(m) is infinite
-        value = _huge_inverse_sqrt(m)
     return BoundCertificate(
-        value=value,
+        value=_inverse_sqrt(m),
         tag="exact",
         method="kubota",
         witness={"domain": domain.describe(), "inverse_square": m},
@@ -218,19 +214,15 @@ def product_constant(domains: Sequence[ClassicalDomain]) -> BoundCertificate:
 
     The inverse squares are integers, so the sum is exact; the result is at
     most the smallest factor constant, strictly below it for two or more
-    factors.  As in ``kubota_constant``, a sum too large for a float is
-    computed from the integer, and one above 2^2044 is refused.
+    factors.  As in ``kubota_constant``, it is rounded to nearest from the
+    integer, and a sum above 2^2044 is refused.
     """
     factors = list(domains)
     if not factors:
         raise EmptyList("product requires at least one factor domain")
     total = sum(d.inverse_square_constant for d in factors)
-    try:
-        value = total ** -0.5
-    except OverflowError:  # float(total) is infinite
-        value = _huge_inverse_sqrt(total)
     return BoundCertificate(
-        value=value,
+        value=_inverse_sqrt(total),
         tag="exact",
         method="kubota-product",
         witness={
@@ -272,7 +264,11 @@ def sandwich_check_type_i(r: int, s: int, samples: int = 1000, seed: int = 0) ->
     sphere lies outside it, and there ||Z||_op >= ||Z||_F / sqrt(r) > 1.  The
     margin 1e-9 keeps the samples off the boundary: for r = 1 the domain is the
     ball, and at radius sqrt(r) each sample would be a tie decided by rounding.
+    A ``samples`` that is not an integer of at least 1 (a bool is not one)
+    raises DomainValidationError.
     """
+    if not _is_integer(samples) or samples < 1:
+        raise DomainValidationError(f"samples must be a positive integer, got {samples!r}")
     domain = ClassicalDomain.type_i(r, s)
     if r * s > 16:
         raise DomainValidationError("sandwich check is desk-scale: require r*s <= 16")

@@ -404,6 +404,19 @@ class TestCompletenessCriterion:
         with pytest.raises(DomainValidationError):
             completeness_criterion(lambda z: 1.0, lambda z: 0.5, 0.0, [0.5])
 
+    def test_nan_constant_refused(self):
+        with pytest.raises(DomainValidationError, match="the criterion constant must be positive"):
+            completeness_criterion(lambda z: 1.0, lambda z: 0.5, math.nan, [0.5])
+
+    def test_nan_margin_fails_at_its_point(self):
+        bound = {0.2: 1.0, 0.3: math.nan, 0.4: -5.0}
+        report = completeness_criterion(bound.get, lambda z: z, 0.1, [0.2, 0.3, 0.4])
+        assert not report.passed and math.isnan(report.worst_margin) and report.worst_point == 0.3
+
+    def test_infinite_margins_are_reported(self):
+        report = completeness_criterion(lambda z: math.inf, lambda z: z, 0.1, [0.2, 0.4])
+        assert report.passed and report.worst_margin == math.inf and report.worst_point == 0.2
+
 
 class TestLipschitzCheck:
     def test_constant_squeezing_trivial(self):

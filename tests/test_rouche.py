@@ -21,8 +21,8 @@ from squeezing import (
 )
 from squeezing.checks import injective_corpus, noninjective_witnesses
 from squeezing import rouche
-from squeezing.errors import DomainValidationError, GuardViolation, NonIntegerResidual
-from squeezing.rouche import _curves_apart, _segment_distances
+from squeezing.errors import DomainValidationError, EmptyList, GuardViolation, NonIntegerResidual
+from squeezing.rouche import _curves_apart, _segment_distances, _winding
 
 
 def monomial(k):
@@ -111,6 +111,20 @@ class TestContourValidation:
     def test_orientation(self):
         with pytest.raises(DomainValidationError):
             CircleContour(orientation=2)
+
+    @pytest.mark.parametrize("center", [complex(np.nan, 0), complex(0, np.inf), -np.inf, np.nan, "0", None, [0, 1]])
+    def test_center_must_be_a_finite_number(self, center):
+        with pytest.raises(DomainValidationError, match="contour centre must be a finite number"):
+            CircleContour(center=center)
+
+    def test_center_accepts_numpy_scalars(self):
+        assert zero_count(monomial(1), CircleContour(center=np.complex128(0.1j))) == 1
+
+    def test_no_contour_is_an_empty_list(self):
+        with pytest.raises(EmptyList, match="at least one contour is required"):
+            zero_count_detailed(monomial(2), ())
+        with pytest.raises(EmptyList, match="at least one contour is required"):
+            rouche_dominates(monomial(2), polynomial_map([0.5]), [])
 
     @pytest.mark.parametrize("samples", [64.0, 128.5, "64", True, None])
     def test_samples_must_be_an_integer(self, samples):
@@ -222,6 +236,32 @@ class TestPreimageCount:
             assert np.rint(total.real) == 1 and abs(total - 1) < 1e-9, name
 
 
+class TestWinding:
+    def test_matches_the_unwrapped_angle(self):
+        # closed trigonometric curves about random centres, kept where every
+        # chord is shorter than its first node's modulus (the disc condition)
+        rng = np.random.default_rng(26)
+        theta = 2 * np.pi * np.arange(96) / 96
+        windings = []
+        for _ in range(400):
+            lead = int(rng.integers(-3, 4))
+            terms = rng.normal(size=(7, 2)) @ [1, 1j] * 0.3 ** rng.uniform(0.5, 2.0)
+            terms[lead + 3] += 2.0
+            values = np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ terms - (rng.normal(size=2) @ [1, 1j])
+            if not np.all(np.abs(np.roll(values, -1) - values) < np.abs(values)):
+                continue
+            angle = np.unwrap(np.angle(np.append(values, values[0])))
+            expected = int(np.rint((angle[-1] - angle[0]) / (2 * np.pi)))
+            assert _winding(values[None, :])[0] == expected
+            windings.append(expected)
+        assert len(windings) > 200 and len(set(windings)) >= 5
+
+    def test_counts_each_row_with_nodes_on_the_axes(self):
+        octagon = np.array([2, 1 + 1j, 2j, -1 + 1j, -2, -1 - 1j, -2j, 1 - 1j])
+        twice = np.tile([2, 2j, -2, -2j], 2)
+        assert _winding(np.array([octagon, octagon[::-1], octagon + 3, twice])).tolist() == [1, -1, 0, 2]
+
+
 class TestRoucheDominance:
     def test_dominates(self):
         contour = CircleContour()
@@ -234,6 +274,11 @@ class TestRoucheDominance:
     def test_zero_perturbation(self):
         contour = CircleContour()
         assert rouche_dominates(monomial(2), polynomial_map([0.0]), contour)
+
+    def test_nan_on_the_contour_never_dominates(self):
+        nan_at_one_node = SampledMap(lambda z: np.where(z == 1, np.nan, z), lambda z: np.ones_like(z))
+        assert not rouche_dominates(nan_at_one_node, polynomial_map([0.5]), CircleContour())
+        assert not rouche_dominates(monomial(1), polynomial_map([np.nan]), CircleContour())
 
     def test_consistency_when_dominated(self):
         contour = CircleContour()
@@ -570,6 +615,20 @@ class TestBoundaryCertificate:
         # injectivity does not see a constant factor, and neither may the
         # guard on the preimage count
         cert = injectivity_certificate(laurent_map(np.multiply(coefficients, scale)), 0.5, samples=512)
+        assert (cert.status, cert.reason) == expected
+
+    # f = z at r = 0.81: w0 = 0.9 lies 0.1 from the outer curve and 0.09 from
+    # the inner one, whose reaches are h and 0.81 h, h = pi / samples, plus
+    # rounding terms below 3e-12; at samples 30 only the outer reach exceeds
+    # its distance, at 32 only the outer reach exceeds the inner distance, and
+    # a constant term 1e11 adds about 0.3 of rounding allowance to both
+    @pytest.mark.parametrize("coefficients, samples, expected", [
+        ([0, 0, 1], 30, ("inconclusive", "preimages of f(sqrt r): untrusted")),
+        ([0, 0, 1], 32, ("certified", None)),
+        ([0, 1e11, 1], 2048, ("inconclusive", "preimages of f(sqrt r): untrusted")),
+    ], ids=["outer-within-reach", "inner-beyond-its-reach", "within-the-rounding-allowance"])
+    def test_each_curve_keeps_its_nodes_beyond_its_reach(self, coefficients, samples, expected):
+        cert = injectivity_certificate(laurent_map(coefficients), 0.81, samples=samples)
         assert (cert.status, cert.reason) == expected
 
     def test_hash_matches_brute_force(self):
