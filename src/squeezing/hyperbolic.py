@@ -14,8 +14,11 @@ complex-scalar division does not round like its array loop.
 The disc and the ball check their points in one place each for the whole
 package, ``_disc_points`` and ``_ball_point`` (the annulus in
 ``planar.Annulus.point``); both test ``not ... < 1``, so a NaN or infinite
-point raises ``DomainValidationError``.  ``_is_integer`` is the package's one
-test for an integer argument.
+point raises ``DomainValidationError``.  A disc point that must be one
+number (the parameter of an automorphism, of a Mobius circle image or of an
+excision, and a boundary distance's point) goes through ``_disc_parameter``,
+which refuses an array with ``ShapeMismatch``.  ``_is_integer`` is the
+package's one test for an integer argument.
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ def _disc_points(what, *points):
         if not np.all(np.abs(arr) < 1.0):
             raise DomainValidationError(f"{what} must lie in the open unit disc")
     return arrays
+
+
+def _disc_parameter(what, a) -> complex:
+    """The scalar a as a complex number; ShapeMismatch for an array, and
+    DomainValidationError unless |a| < 1 (NaN fails)."""
+    if np.ndim(a) != 0:
+        raise ShapeMismatch(f"{what} must be a scalar, got shape {np.shape(a)}")
+    return complex(_disc_points(what, a)[0])
 
 
 def mobius_map(a, z):

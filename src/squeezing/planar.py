@@ -29,7 +29,7 @@ from .errors import (
 from .hyperbolic import (
     TOLERANCE,
     _ball_point,
-    _disc_points,
+    _disc_parameter,
     _is_integer,
     euclidean_radius,
     kobayashi_distance,
@@ -179,7 +179,7 @@ def mobius_circle_image(a, rho: float) -> tuple[complex, float]:
     centre = a (rho^2 - 1) / (1 - rho^2 |a|^2),
     radius = rho (1 - |a|^2) / (1 - rho^2 |a|^2).
     """
-    a = complex(_disc_points("Mobius parameter", a)[0])
+    a = _disc_parameter("Mobius parameter", a)
     if not 0.0 < rho < 1.0:
         raise DomainValidationError("circle radius must lie in (0, 1)")
     denom = 1.0 - rho * rho * abs(a) ** 2
@@ -198,7 +198,7 @@ class Excision:
 
     def circle_image(self, rho: float) -> tuple[complex, float]:
         """Image of |z| = rho under the excision automorphism."""
-        return mobius_circle_image(-complex(self.center_param), rho)
+        return mobius_circle_image(np.negative(self.center_param), rho)
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ class ExcisedDomain:
                 raise DomainValidationError(
                     f"excision radius {exc.radius} must lie in (u, v) = ({self.u}, {self.v})"
                 )
-            _disc_points("excision parameter", exc.center_param)
+            _disc_parameter("excision parameter", exc.center_param)
         discs = [exc.circle_image(self.w) for exc in self.excisions]
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
@@ -332,8 +332,7 @@ def boundary_distance(z, annulus: Annulus | None = None) -> float:
     """Euclidean distance to the boundary: unit disc when ``annulus`` is None."""
     if annulus is not None:
         return annulus.boundary_distance(z)
-    _disc_points("point", z)
-    return 1.0 - abs(complex(z))
+    return 1.0 - abs(_disc_parameter("point", z))
 
 
 def caratheodory_lower_estimate(z, squeezing_lower: float, annulus: Annulus | None = None) -> float:
@@ -398,6 +397,6 @@ def lipschitz_check(squeezing_fn: Callable, distance_fn: Callable, pairs: Iterab
     the tanh-compressed invariant distance."""
     for x, y in pairs:
         gap = abs(squeezing_fn(x) - squeezing_fn(y))
-        if gap > 2.0 * euclidean_radius(distance_fn(x, y)) + TOLERANCE:
+        if not gap <= 2.0 * euclidean_radius(distance_fn(x, y)) + TOLERANCE:  # a NaN gap fails too
             return False
     return True

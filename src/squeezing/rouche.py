@@ -9,20 +9,22 @@ contour forces f and f + g to enclose equally many zeros.  One kernel,
 level are the even nodes of the next, so each doubling evaluates only the
 new odd nodes and interleaves them with the integrands it kept.  The
 boundary certificate of a Laurent map counts windings without quadrature:
-``_winding`` counts the chords of a sampled curve that cross a ray, exact
-when each step stays in a disc around its first node that misses the
-centre, a bound the certificate proves from the coefficients for both its
-counts, the preimages of f(sqrt r) and the turning numbers.
+``_winding`` counts the chords of a sampled curve that cross a ray, and
+trusts the count only when every node lies farther from the centre than
+its curve's reach, which bounds each step; the certificate proves the
+reach from the coefficients for all three of its counts, the zeros of f'
+near each located critical point, the preimages of f(sqrt r) and the
+turning numbers.
 
 Injectivity on an annulus is certified by a proof chosen by the input
 alone.  A disc automorphism (built by ``disc_automorphism``) is injective
 on the whole closed disc, so it is certified without sampling.  A Laurent
 map (one that carries its coefficients, as ``laurent_map`` builds it) is
 certified from its two boundary curves: no critical point in the annulus
-(located by ``np.roots``), and simple, disjoint image curves, each checked
-against bounds computed from the coefficients (see
-``injectivity_certificate``); its cost depends on the sample count only.
-Disjointness is tested only on the segment pairs whose tube-widened boxes
+(located by ``np.roots``, confirmed by a winding count), and simple,
+disjoint image curves, each checked against bounds computed from the
+coefficients (see ``injectivity_certificate``); the cost of the curves'
+pass depends on the sample count only.  Disjointness is tested only on the segment pairs whose tube-widened boxes
 overlap, each listed once (``_curves_apart``).  One sampler,
 ``annulus_basis``, builds the power table of both boundary circles, here and
 in ``search``, one complex product per power (``laurent_basis``).  Any
@@ -40,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainValidationError, EmptyList, GuardViolation, NonIntegerResidual
-from .hyperbolic import _disc_points, _is_integer
+from .hyperbolic import _disc_parameter, _is_integer
 from .planar import Annulus
 
 #: Minimum allowed |f| at the contour samples before ``zero_count_detailed`` trusts a count.
@@ -221,7 +223,7 @@ def disc_automorphism(a) -> SampledMap:
     ``hyperbolic.mobius_map`` it also evaluates on and beyond |z| = 1, where
     contours lie.
     """
-    a = complex(_disc_points("automorphism parameter", a)[0])
+    a = _disc_parameter("automorphism parameter", a)
     conjugate = a.conjugate()
 
     def f(z):
@@ -462,7 +464,8 @@ def _curves_apart(nodes, tubes) -> bool:
 
 
 #: Allowance, relative to sum |c_k| rho^k (and sum |k c_k| rho^k), for the
-#: rounding of a boundary node's value (and derivative).
+#: rounding of a boundary node's value (and derivative), and relative to
+#: sum |p_j| R^j for a value of p = z^{m+1} f' near a critical point.
 _ROUNDING = 1e-12
 
 #: Entries from which OpenBLAS hands a complex matrix-vector product to its
@@ -499,27 +502,70 @@ def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None
 def _roots(p: np.ndarray) -> np.ndarray:
     """Roots of sum_j p_j z^j, the eigenvalues of its companion matrix
     (``np.roots``); none when that matrix is not finite.  A root is only a
-    candidate: callers confirm each by a zero count."""
+    candidate: callers confirm each by a winding count (``_disc_has_zero``)."""
     try:
         return np.roots(p[::-1])
     except np.linalg.LinAlgError:  # a coefficient is inf or NaN, or a quotient overflows
         return np.zeros(0, dtype=complex)
 
 
-def _winding(values: np.ndarray) -> np.ndarray:
+def _winding(values: np.ndarray, reach):
     """Winding numbers about 0 of the closed polygons through the rows of
-    ``values``: the signed count of chords that cross the negative real axis
-    (+1 from imag >= 0 to imag < 0), each on the side of its first node.
+    ``values``, or None unless every node of each row lies farther from 0
+    than that row's ``reach`` (a NaN fails); and each row's least |value|.
 
-    It is the winding number of every closed curve through the nodes whose
-    step from each node a lies, with its chord, in a disc around a of radius
-    below |a|: a chord there that changes the sign of imag meets the real
-    axis at an x with |x - a| < |a|, so of the sign of Re a.  Only the signs
-    of the parts are read, and rounding a difference keeps them.
+    A winding is the signed count of chords that cross the negative real
+    axis (+1 from imag >= 0 to imag < 0), each on the side of its first
+    node.  It is the winding number of every closed curve through the nodes
+    whose step from each node a lies, with its chord, in a disc around a of
+    radius below |a|: a chord there that changes the sign of imag meets the
+    real axis at an x with |x - a| < |a|, so of the sign of Re a.  Only the
+    signs of the parts are read, and rounding a difference keeps them.
+    Callers bound each step and chord by the row's reach.
     """
+    distance = np.abs(values).min(axis=1)
+    if not np.all(distance > reach):
+        return None, distance
     below = values.imag < 0.0
     crossing = (np.roll(below, -1, axis=1) != below) & (values.real < 0.0)
-    return crossing.sum(axis=1) - 2 * (crossing & below).sum(axis=1)
+    return crossing.sum(axis=1) - 2 * (crossing & below).sum(axis=1), distance
+
+
+def _disc_has_zero(p: np.ndarray, centre: complex, radius: float) -> bool:
+    """True when p(z) = sum_j p_j z^j has a zero in |z - centre| < radius by a
+    trusted count: the winding about 0 of p at n equispaced nodes of the
+    circle, counted by ``_winding``, from n = 64 doubling up to MAX_SAMPLES
+    until the count is trusted.  False when the count is 0 or never trusted.
+
+    The count is trusted when every node value lies farther from 0 than the
+    reach h rho L + e, with h = 2 pi / n, rho = radius, R = |centre| + rho,
+    L = sum_j j |p_j| R^(j-1) and e = ``_ROUNDING`` S, S = sum_j |p_j| R^j.
+    Proof: on the circle P(theta) = p(centre + rho e^{i theta}) has
+    |P'| = rho |p'| <= rho L, so within a step P stays within h rho L of its
+    value at the step's first node.  Each computed value is within e / 2 of
+    P at its node when p has degree d <= 100: the computed node lies within
+    (4 pi + 5) u R of the exact one (u = 2^-53; the angle, the exponential,
+    the product and the sum), which moves p by at most 18 u R L <= 18 d u S,
+    and Horner's rule in complex arithmetic adds at most 4 d u S (Higham,
+    products within sqrt(2) gamma_2); with 22 d u S <= e / 2, the reach's
+    own rounding fits in the rest.  So each step of P from a node, and the
+    chord of the computed nodes, lie within h rho L + e of the computed value
+    at the step's first node, which the trust test puts farther from 0: the
+    crossing count is the winding of P, which is the number of zeros inside
+    by the argument principle.  The reach and |p| both scale with p, so the
+    outcome does not depend on the scale of p.
+    """
+    j = np.arange(len(p))
+    scale = np.abs(p) * (abs(centre) + radius) ** j  # |p_j| R^j
+    n = 64
+    while n <= MAX_SAMPLES:
+        step = 2.0 * np.pi / n
+        values = np.polyval(p[::-1], centre + radius * np.exp(1j * step * np.arange(n)))
+        zeros, _ = _winding(values[None], step * radius / (abs(centre) + radius) * (scale @ j) + _ROUNDING * scale.sum())
+        if zeros is not None:
+            return bool(zeros[0] >= 1)
+        n *= 2
+    return False
 
 
 def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
@@ -532,20 +578,13 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
         return InjectivityCertificate(status, float(margin), reason, samples, tube, critical)
 
     # z^{m+1} f'(z) = sum_k k c_k z^{k+m} shares the zeros of f' in the annulus.
-    # Its roots only locate them; a refutation needs a trusted count on a disc
-    # inside the annulus, which settles at a few hundred samples however
-    # close the root sits to a boundary circle
-    critical_polynomial = polynomial_map(k * c)
+    # Its roots only locate them; a refutation needs a trusted winding count
+    # on a disc inside the annulus
     roots = _roots(k * c)
     inside = roots[(np.abs(roots) > inner_radius) & (np.abs(roots) < 1.0)]
     critical = len(inside)
-    for root in inside:
-        radius = 0.5 * min(abs(root) - inner_radius, 1.0 - abs(root))
-        try:
-            if zero_count_detailed(critical_polynomial, CircleContour(complex(root), radius)).count >= 1:
-                return outcome("refuted", critical=critical)
-        except (GuardViolation, NonIntegerResidual):
-            continue
+    if any(_disc_has_zero(k * c, a, 0.5 * min(abs(a) - inner_radius, 1.0 - abs(a))) for a in inside):
+        return outcome("refuted", critical=critical)
     if critical:
         return outcome("inconclusive", reason="critical points without a trusted count", critical=critical)
 
@@ -564,12 +603,10 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     # w0 less that of the inner one, exact when every node of each curve is
     # farther from w0 than that curve's reach (a NaN distance fails)
     w0 = laurent_basis(math.sqrt(inner_radius), m) @ c
-    offset = nodes - w0
-    distance = np.abs(offset).min(axis=1)
+    winding, distance = _winding(nodes - w0, step * lipschitz + _ROUNDING * (2.0 * size + size.max()))
     margin = distance.min()
-    if not np.all(distance > step * lipschitz + _ROUNDING * (2.0 * size + size.max())):
+    if winding is None:
         return outcome("inconclusive", margin, "preimages of f(sqrt r): untrusted", critical=critical)
-    winding = _winding(offset)
     count = int(winding[0] - winding[1])
     if count >= 2:
         return outcome("refuted", margin, critical=critical)
@@ -581,14 +618,11 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     second = scale @ (k * k)
     tubes = step * step / 8.0 * second + _ROUNDING * size
     tube = float(tubes.max())
-    # rounding is monotone, so the slowest node of each curve decides for all
-    # of them (a NaN speed fails)
-    speed = np.abs(tangents).min(axis=1) - _ROUNDING * lipschitz
-    if not np.all(speed - step * second > 2.0 * step * second):
-        return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
     # the turning number is the winding of T' about 0: within a step T'
-    # stays within h M of its first node, which is above 3 h M
-    turning = _winding(tangents)
+    # stays within h M of its first node, which is above 3 h M (a NaN fails)
+    turning, _ = _winding(tangents, 3.0 * step * second + _ROUNDING * lipschitz)
+    if turning is None:
+        return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
     if turning[0] != turning[1]:
         return outcome("inconclusive", margin, "turning numbers differ", tube, critical)
     if not _curves_apart(nodes, tubes):
@@ -622,13 +656,15 @@ def injectivity_certificate(
     **Laurent maps** (``f.laurent_coefficients`` is set): the boundary pass.
     Refutations first, cheapest first:
 
-    1. the roots of z^{m+1} f'(z) = sum_k k c_k z^{k+m}, found by
+    1. the roots of p(z) = z^{m+1} f'(z) = sum_k k c_k z^{k+m}, found by
        ``np.roots`` (none when a coefficient is not finite), locate the
-       critical points; for each one inside the annulus,
-       ``zero_count_detailed`` counts the zeros on the disc around it of
-       half its distance to the boundary circles, and a count >= 1 refutes
-       (f is k-to-1 near a critical point).  When no such count is >= 1 (a
-       guard violation, an unsettled count) the map is inconclusive;
+       critical points; for each root a inside the annulus, ``_winding``
+       counts the zeros of p on the disc around a of radius
+       min(|a| - r, 1 - |a|) / 2, from p at 64 to MAX_SAMPLES nodes of its
+       circle, whatever ``samples`` is (``_disc_has_zero`` proves the reach
+       that each count must clear).  A trusted count >= 1 refutes (f is
+       k-to-1 near a critical point).  When none is (a count of 0, or a
+       node within the reach at every node count) the map is inconclusive;
     2. both image curves T(theta) = f(rho e^{i theta}), rho = 1 and r, and
        their tangents are sampled once, at 2*samples nodes with step h, from
        one ``annulus_basis`` (which rejects an r whose 1 / r**m overflows); the
@@ -649,12 +685,13 @@ def injectivity_certificate(
     so |T''| <= M = sum k^2 |c_k| rho^k on the whole circle, and each arc
     between nodes lies within the tube h^2 M / 8 of its chord (plus a
     rounding allowance).  The map is certified only when
-    (a) every node has |T'| - h M > 2 h M (tested at each curve's slowest
-        node, as rounding is monotone): T' then moves by at most h M
-        within a step, T is injective on every two consecutive steps, and the
-        tangent turns by less than pi per step, so the turning numbers,
-        the winding numbers of the tangents about 0 counted by ``_winding``,
-        are exact, and they must agree;
+    (a) every node has |T'| > 3 h M plus the rounding allowance
+        ``_ROUNDING`` L of T', the reach that ``_winding`` tests on the
+        tangents: T' then moves by at most h M within a step, T is
+        injective on every two consecutive steps, and the tangent turns by
+        less than pi per step, so the turning numbers, the winding numbers
+        of the tangents about 0 counted by ``_winding``, are exact, and they
+        must agree;
     (b) every segment has a positive, finite squared length, and every two
         segments that are not neighbours on one curve, and every pair across
         the two curves, lie farther apart than their two tubes; only the

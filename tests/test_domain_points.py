@@ -3,6 +3,7 @@ the annulus radius) refuses a NaN, an infinite and a boundary point with its
 own error, and emits no RuntimeWarning on the way."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from squeezing import (
     tier_b_search,
     unit_annulus_contours,
 )
-from squeezing.errors import DomainValidationError, PointOutsideAnnulus
+from squeezing.errors import DomainValidationError, PointOutsideAnnulus, ShapeMismatch
 
 QUARTER = Annulus(0.25)
 ORIGIN_PUNCTURED = PuncturedBall(2, (np.zeros(2),))
@@ -103,3 +104,21 @@ DISC_ARGUMENTS = {
 def test_disc_message_names_the_argument(what):
     with pytest.raises(DomainValidationError, match=f"^{what} must lie in the open unit disc$"):
         DISC_ARGUMENTS[what](complex(0.0, math.nan))
+
+
+# the disc points that must be one number; each refuses an array of any shape
+SCALAR_ARGUMENTS = {
+    "disc_automorphism": ("automorphism parameter", disc_automorphism),
+    "mobius_circle_image": ("Mobius parameter", lambda x: mobius_circle_image(x, 0.5)),
+    "Excision.circle_image": ("Mobius parameter", lambda x: Excision(x, 0.25).circle_image(0.5)),
+    "ExcisedDomain": ("excision parameter", lambda x: ExcisedDomain(0.2, 0.3, 0.45, (Excision(x, 0.25),))),
+    "boundary_distance": ("point", boundary_distance),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (1,), (1, 1)])
+@pytest.mark.parametrize("name", sorted(SCALAR_ARGUMENTS))
+def test_disc_parameter_must_be_a_scalar(name, shape):
+    what, call = SCALAR_ARGUMENTS[name]
+    with pytest.raises(ShapeMismatch, match=f"^{what} must be a scalar, got shape {re.escape(str(shape))}$"):
+        call(np.full(shape, 0.1 + 0.2j))

@@ -427,3 +427,8 @@ class TestLipschitzCheck:
     def test_equal_points(self):
         z = np.array([0.2, 0.1j])
         assert lipschitz_check(lambda v: float(np.linalg.norm(v)), kobayashi_distance, [(z, z)])
+
+    # a NaN gap fails, as a NaN completeness margin does; inf - inf is NaN
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf-at-both-points"])
+    def test_a_gap_that_is_not_a_number_fails(self, value):
+        assert not lipschitz_check(lambda z: value, lambda x, y: 0.5, [(0.1, 0.2)])

@@ -252,14 +252,26 @@ class TestWinding:
                 continue
             angle = np.unwrap(np.angle(np.append(values, values[0])))
             expected = int(np.rint((angle[-1] - angle[0]) / (2 * np.pi)))
-            assert _winding(values[None, :])[0] == expected
+            assert _winding(values[None, :], 0.0)[0][0] == expected
             windings.append(expected)
         assert len(windings) > 200 and len(set(windings)) >= 5
 
     def test_counts_each_row_with_nodes_on_the_axes(self):
         octagon = np.array([2, 1 + 1j, 2j, -1 + 1j, -2, -1 - 1j, -2j, 1 - 1j])
         twice = np.tile([2, 2j, -2, -2j], 2)
-        assert _winding(np.array([octagon, octagon[::-1], octagon + 3, twice])).tolist() == [1, -1, 0, 2]
+        winding, distance = _winding(np.array([octagon, octagon[::-1], octagon + 3, twice]), 0.0)
+        assert winding.tolist() == [1, -1, 0, 2]
+        assert distance.tolist() == [2 ** 0.5, 2 ** 0.5, 1.0, 2.0]
+
+    def test_counts_only_when_every_row_keeps_its_nodes_beyond_its_reach(self):
+        # the octagon's nearest nodes lie sqrt(2) from 0, the square's 2
+        octagon = np.array([2, 1 + 1j, 2j, -1 + 1j, -2, -1 - 1j, -2j, 1 - 1j])
+        rows = np.array([octagon, np.tile([2, 2j, -2, -2j], 2)])
+        assert _winding(rows, np.array([1.4, 1.9]))[0].tolist() == [1, 2]
+        for reach in (np.array([1.5, 1.9]), np.array([1.4, 2.0]), 2 ** 0.5):
+            winding, distance = _winding(rows, reach)
+            assert winding is None and distance.tolist() == [2 ** 0.5, 2.0]
+        assert _winding(np.where(np.arange(8) == 3, np.nan, rows), 0.0)[0] is None  # a NaN node fails
 
 
 class TestRoucheDominance:
@@ -530,6 +542,20 @@ class TestBoundaryCertificate:
         for samples in (512, 1024, 2048):
             assert injectivity_certificate(f, r, samples=samples).status == "refuted", (name, samples)
 
+    @pytest.mark.parametrize("samples", [1, 2, 4])
+    def test_critical_point_refutations_do_not_depend_on_the_sample_count(self, samples):
+        # each critical point is counted on its own circle, from 64 nodes up,
+        # whatever the boundary curves' sample count
+        maps = [(f, r) for _, f, r in noninjective_witnesses()]
+        rng = np.random.default_rng(27)
+        for _ in range(6):
+            r = float(rng.uniform(0.2, 0.6))
+            lam = r * r * rng.uniform(1.2, 0.9 / r ** 2) * np.exp(2j * np.pi * rng.uniform())
+            maps.append((joukowski(lam), r))
+        for f, r in maps:
+            cert = injectivity_certificate(f, r, samples=samples)
+            assert cert.status == "refuted" and cert.critical_points >= 1, (f.laurent_coefficients, r)
+
     def test_wrapped_evaluator_keeps_the_coefficients(self):
         f = laurent_map([0.3, 0, 0, 1, 0.1])
         wrapped = SampledMap(functools.wraps(f.evaluator)(lambda z: f.evaluator(z)), f.derivative_evaluator)
@@ -537,8 +563,9 @@ class TestBoundaryCertificate:
         assert polynomial_map([0, 1]).laurent_coefficients is None
 
     @pytest.mark.parametrize("coefficients, reason", [
-        # critical points 5e-10 r outside the inner circle: too close for a trusted count
-        ([0.25 * (1 + 1e-9), 0, 1], "critical points without a trusted count"),
+        # critical points 5e-14 r outside the inner circle: on a disc of radius
+        # 1.25e-14, |z^2 f'| stays below the rounding allowance at every node count
+        ([0.25 * (1 + 1e-13), 0, 1], "critical points without a trusted count"),
         ([0, 0.5, 0], "preimages of f(sqrt r): untrusted"),  # a constant map
         ([0.249, 0, 1], "boundary curves not locally injective"),  # |f'| ~ 0.004 on |z| = r
     ])
@@ -607,13 +634,16 @@ class TestBoundaryCertificate:
             ([0.5, 0, 0], ("certified", None)),
             ([0, 0, 0, 0, 1], ("refuted", None)),
             ([0, 0, 1, 0.2, 0], ("certified", None)),
+            ([0.4 / 1.5, 0, 1 / 1.5], ("refuted", None)),
+            # critical points +-sqrt(lambda) 2.5e-10 outside the inner circle
+            ([0.25 * (1 + 1e-9), 0, 1], ("refuted", None)),
         ],
-        ids=["identity", "reflection", "square", "z+0.2z^2"],
+        ids=["identity", "reflection", "square", "z+0.2z^2", "joukowski-interior", "joukowski-near-the-inner-circle"],
     )
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e12])
     def test_outcome_does_not_depend_on_the_scale(self, coefficients, expected, scale):
         # injectivity does not see a constant factor, and neither may the
-        # guard on the preimage count
+        # trust tests of the preimage and critical-point counts
         cert = injectivity_certificate(laurent_map(np.multiply(coefficients, scale)), 0.5, samples=512)
         assert (cert.status, cert.reason) == expected
 
