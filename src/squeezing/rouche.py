@@ -23,9 +23,11 @@ map (one that carries its coefficients, as ``laurent_map`` builds it) is
 certified from its two boundary curves: no critical point in the annulus
 (located by ``np.roots``, confirmed by a winding count), and simple,
 disjoint image curves, each checked against bounds computed from the
-coefficients (see ``injectivity_certificate``); the cost of the curves'
-pass depends on the sample count only.  Disjointness is tested only on the segment pairs whose tube-widened boxes
-overlap, each listed once (``_curves_apart``).  One sampler,
+coefficients (see ``injectivity_certificate``).  The curves' separation
+is decided from the coefficients in O(m) when one term, c_1 z or c_-1 / z,
+dominates (``_curves_apart_by_coefficients``); otherwise the segment-pair
+walk tests only the pairs whose tube-widened boxes overlap, each listed
+once (``_curves_apart``), at a cost set by the sample count.  One sampler,
 ``annulus_basis``, builds the power table of both boundary circles, here and
 in ``search``, one complex product per power (``laurent_basis``).  Any
 other map is inconclusive.
@@ -377,6 +379,20 @@ def _segment_distances(p1, q1, p2, q2):
     return np.where(crossing, 0.0, distance)
 
 
+def _segments(nodes):
+    """The starts and ends of the segments of the closed polygons through the
+    rows of ``nodes`` (segment j of row i runs from nodes[i, j] to
+    nodes[i, j + 1 mod n]), flattened row by row; None when a segment's
+    squared length is 0, infinite or NaN, so that it cannot be measured."""
+    start = nodes.ravel()
+    end = np.roll(nodes, -1, axis=1).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = np.square(end.real - start.real) + np.square(end.imag - start.imag)
+    if not np.all((squared > 0.0) & (squared < np.inf)):  # NaN fails too
+        return None
+    return start, end
+
+
 def _curves_apart(nodes, tubes) -> bool:
     """True iff the closed polygons through the rows of ``nodes`` keep every
     two of their segments farther apart than the sum of the segments' tubes,
@@ -384,11 +400,12 @@ def _curves_apart(nodes, tubes) -> bool:
 
     Segment j of row i runs from nodes[i, j] to nodes[i, j + 1 mod n] and has
     tube tubes[i], a finite number >= 0.  A segment whose squared length is
-    0, infinite or NaN cannot be measured, so it fails at once.  Two segments
-    whose boxes, each widened by its own tube, are apart on x or on y are
-    farther apart than their tubes; on the certificate's curves, rounding the
-    box sides costs a few ulps of |T| <= sum |c_k| rho^k, far inside the
-    rounding allowance that each tube already carries.
+    0, infinite or NaN cannot be measured (``_segments``), so it fails at
+    once.  Two segments whose boxes, each widened by its own tube, are apart
+    on x or on y are farther apart than their tubes; on the certificate's
+    curves, rounding the box sides costs a few ulps of
+    |T| <= sum |c_k| rho^k, far inside the rounding allowance that each tube
+    already carries.
 
     The boxes are sorted once by their low x side.  In that order a box at
     position i overlaps on x a later box at i + d exactly when
@@ -406,13 +423,11 @@ def _curves_apart(nodes, tubes) -> bool:
     measured; the walk stops at the first offset or block with a pair too
     close.
     """
-    rows, n = nodes.shape
-    start = nodes.ravel()
-    end = np.roll(nodes, -1, axis=1).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        squared = np.square(end.real - start.real) + np.square(end.imag - start.imag)
-    if not np.all((squared > 0.0) & (squared < np.inf)):  # NaN fails too
+    segments = _segments(nodes)
+    if segments is None:
         return False
+    start, end = segments
+    rows, n = nodes.shape
     tube = np.repeat(tubes, n)
     boxes = []
     for a, b in ((start.real, end.real), (start.imag, end.imag)):
@@ -539,33 +554,85 @@ def _disc_has_zero(p: np.ndarray, centre: complex, radius: float) -> bool:
 
     The count is trusted when every node value lies farther from 0 than the
     reach h rho L + e, with h = 2 pi / n, rho = radius, R = |centre| + rho,
-    L = sum_j j |p_j| R^(j-1) and e = ``_ROUNDING`` S, S = sum_j |p_j| R^j.
-    Proof: on the circle P(theta) = p(centre + rho e^{i theta}) has
-    |P'| = rho |p'| <= rho L, so within a step P stays within h rho L of its
-    value at the step's first node.  Each computed value is within e / 2 of
-    P at its node when p has degree d <= 100: the computed node lies within
+    L = sum_j j |p_j| R^(j-1), S = sum_j |p_j| R^j and
+    e = ``_ROUNDING`` max(1, d / 100) S, where d = len(p) - 1 bounds the
+    degree of p.  Proof: on the circle P(theta) = p(centre + rho e^{i theta})
+    has |P'| = rho |p'| <= rho L, so within a step P stays within h rho L of
+    its value at the step's first node.  Each computed value is within e / 2
+    of P at its node, whatever d is: the computed node lies within
     (4 pi + 5) u R of the exact one (u = 2^-53; the angle, the exponential,
     the product and the sum), which moves p by at most 18 u R L <= 18 d u S,
     and Horner's rule in complex arithmetic adds at most 4 d u S (Higham,
-    products within sqrt(2) gamma_2); with 22 d u S <= e / 2, the reach's
-    own rounding fits in the rest.  So each step of P from a node, and the
-    chord of the computed nodes, lie within h rho L + e of the computed value
-    at the step's first node, which the trust test puts farther from 0: the
-    crossing count is the winding of P, which is the number of zeros inside
-    by the argument principle.  The reach and |p| both scale with p, so the
-    outcome does not depend on the scale of p.
+    products within sqrt(2) gamma_2); 22 d u S is at most e / 4.  The
+    reach's own rounding takes less than the rest: its sum h rho L rounds
+    within (d + 6) u of itself, and a trusted count puts it below
+    |P| <= S, so within (d + 6) u S < e / 8.  So each step of P from a node,
+    and the chord of the computed nodes, lie within h rho L + e of the
+    computed value at the step's first node, which the trust test puts
+    farther from 0: the crossing count is the winding of P, which is the
+    number of zeros inside by the argument principle.  The reach and |p|
+    both scale with p, so the outcome does not depend on the scale of p.
     """
     j = np.arange(len(p))
     scale = np.abs(p) * (abs(centre) + radius) ** j  # |p_j| R^j
+    rounding = _ROUNDING * max(1.0, (len(p) - 1) / 100) * scale.sum()
     n = 64
     while n <= MAX_SAMPLES:
         step = 2.0 * np.pi / n
         values = np.polyval(p[::-1], centre + radius * np.exp(1j * step * np.arange(n)))
-        zeros, _ = _winding(values[None], step * radius / (abs(centre) + radius) * (scale @ j) + _ROUNDING * scale.sum())
+        zeros, _ = _winding(values[None], step * radius / (abs(centre) + radius) * (scale @ j) + rounding)
         if zeros is not None:
             return bool(zeros[0] >= 1)
         n *= 2
     return False
+
+
+def _curves_apart_by_coefficients(scale: np.ndarray, step: float) -> bool:
+    """True when the coefficients alone prove the predicate of
+    ``_curves_apart`` for the boundary curves of ``_boundary_certificate``,
+    sampled at 2 pi / step nodes each with tubes h^2 M / 8 + e (h = step),
+    once their segments can be measured (``_segments``); False leaves the
+    question to the segment-pair walk.
+
+    ``scale`` holds a_k = |c_k| rho^k, k = -m..m (m >= 1), one row per
+    circle, rho = 1 and r.  On each circle let S = sum a_k, L = sum |k| a_k,
+    M = sum k^2 a_k, e = ``_ROUNDING`` S, D = max(a_-1, a_1), U = S - a_0
+    and s = h^2 M / 2 + 4 e.  The test is
+        2 (2D - L) sin(h / 2) > s on each circle, and
+        max(2D_1 - U_1 - U_r, 2D_r - U_r - U_1) > s_1 + s_r.
+
+    Proof.  T(theta) = sum c_k rho^k e^{ik theta}, and
+    |e^{ik theta} - e^{ik phi}| <= |k| |e^{i theta} - e^{i phi}|, so the term
+    p = +-1 with a_p = D gives |T(theta) - T(phi)| >=
+    (2D - L) |e^{i theta} - e^{i phi}| and 2D - U <= |T - c_0| <= U.  Each
+    node rounds within e / 2 while m <= 800 (about 3.6 |k| ulps per power,
+    see ``laurent_basis``, plus the product's rounding), so a point of a
+    computed segment lies within e / 2 of the exact chord, within
+    h^2 M / 8 + e / 2 of the chord's arc (|T''| <= M), and within U + e / 2
+    of c_0 (the chord lies in the disc).  Two segments of one curve that are
+    not neighbours cover arcs at least h apart in angle, whose points lie at
+    least 2 sin(h / 2) apart on the circle, so the segments lie farther
+    apart than 2 (2D - L) sin(h / 2) - h^2 M / 4 - e > h^2 M / 4 + 3 e: both
+    tubes and e.  Across the curves, when 2D_1 - U_1 > U_r, a point of an
+    outer segment lies at least 2D_1 - U_1 - h^2 M_1 / 8 - e_1 / 2 from c_0
+    and one of an inner segment at most U_r + e_r / 2, which leaves both
+    tubes and 2.5 (e_1 + e_r); the other way round likewise.  The spare e
+    covers the test's own rounding: each a_k rounds within 3 ulps and each
+    sum within 2m + 5 ulps of its terms, and on acceptance L < 2D <= 2S, so
+    the first test's sides move by at most h (8m + 40) u S, under 0.9 e
+    while m <= 600 (u = 2^-53; the test fails at h = pi, since
+    M >= D >= 2D - L, so h <= pi / 2), and the second's by less; the rest
+    exceeds the walk's own rounding of a distance, a few ulps of S.  A NaN
+    or infinite sum fails.
+    """
+    m = scale.shape[1] // 2
+    k = np.arange(-m, m + 1)
+    size = scale.sum(axis=1)
+    slack = step * step / 2.0 * (scale @ (k * k)) + 4.0 * _ROUNDING * size
+    double = 2.0 * np.maximum(scale[:, m - 1], scale[:, m + 1])  # 2D
+    radius = size - scale[:, m]  # U >= |T - c_0|
+    simple = 2.0 * math.sin(step / 2.0) * (double - scale @ np.abs(k)) > slack
+    return bool(simple.all() and (double - radius.sum()).max() > slack.sum())
 
 
 def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
@@ -625,7 +692,10 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
         return outcome("inconclusive", margin, "boundary curves not locally injective", tube, critical)
     if turning[0] != turning[1]:
         return outcome("inconclusive", margin, "turning numbers differ", tube, critical)
-    if not _curves_apart(nodes, tubes):
+    # the coefficients decide most maps in O(m); the segment-pair walk takes
+    # the rest, and either way every segment must be measurable
+    by_coefficients = _curves_apart_by_coefficients(scale, step) and _segments(nodes) is not None
+    if not (by_coefficients or _curves_apart(nodes, tubes)):
         return outcome("inconclusive", margin, "boundary curves closer than their tubes", tube, critical)
     return outcome("certified", margin, tube=tube, critical=critical)
 
@@ -692,11 +762,16 @@ def injectivity_certificate(
         less than pi per step, so the turning numbers, the winding numbers
         of the tangents about 0 counted by ``_winding``, are exact, and they
         must agree;
-    (b) every segment has a positive, finite squared length, and every two
-        segments that are not neighbours on one curve, and every pair across
-        the two curves, lie farther apart than their two tubes; only the
-        pairs whose tube-widened boxes overlap are measured, in O(samples)
-        memory (``_curves_apart``).
+    (b) every segment has a positive, finite squared length (``_segments``),
+        and every two segments that are not neighbours on one curve, and
+        every pair across the two curves, lie farther apart than their two
+        tubes.  When one term dominates, the coefficients prove that in
+        O(m): each curve is bi-Lipschitz to its circle, and the curves'
+        radii about c_0 do not overlap (``_curves_apart_by_coefficients``
+        proves that this implies the walk's predicate, so the outcome is
+        the walk's).  Otherwise the segment-pair walk measures the pairs
+        whose tube-widened boxes overlap, in O(samples) memory
+        (``_curves_apart``).
     A crossing found this way is only ever inconclusive, never a refutation.
 
     Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)

@@ -647,6 +647,30 @@ class TestBoundaryCertificate:
         cert = injectivity_certificate(laurent_map(np.multiply(coefficients, scale)), 0.5, samples=512)
         assert (cert.status, cert.reason) == expected
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_degree_60_outcomes_do_not_depend_on_the_scale(self, scale):
+        """z + lambda / z + 1e-3 z^60 at r = 0.55, so m = 60 and
+        p = z^61 f' has degree 120, past the 100 up to which
+        ``_disc_has_zero`` keeps its rounding allowance at ``_ROUNDING`` S;
+        here it is 1.2 times that.  For |lambda| = 0.36 the critical points
+        +-sqrt(lambda) lie in the annulus and their counts refute; for
+        lambda = 0.1 < r^2 the map is certified (the z^60 term moves its
+        other critical points outside the unit disc).
+
+        The boundary proofs assume that each node of a curve rounds within
+        ``_ROUNDING`` S / 2, S = sum |c_k| rho^k.  With about 3.6 |k| ulps per
+        power of the table (``laurent_basis``) and at most 2m + 3 ulps of S
+        for the product of 2m + 1 terms, that holds while
+        (5.6 m + 3) 2^-53 <= 5e-13, that is for m up to about 800.
+        """
+        m = 60
+        c = np.zeros(2 * m + 1, dtype=complex)
+        c[m + 1], c[-1] = 1.0, 1e-3
+        for lam, expected in ((0.36 * np.exp(0.7j), ("refuted", 2)), (0.1, ("certified", 0))):
+            c[m - 1] = lam
+            cert = injectivity_certificate(laurent_map(scale * c), 0.55, samples=512)
+            assert (cert.status, cert.critical_points) == expected, lam
+
     # f = z at r = 0.81: w0 = 0.9 lies 0.1 from the outer curve and 0.09 from
     # the inner one, whose reaches are h and 0.81 h, h = pi / samples, plus
     # rounding terms below 3e-12; at samples 30 only the outer reach exceeds
@@ -754,6 +778,81 @@ class TestBoundaryCertificate:
             spacing = (abs(q1[i] - p1[i]) + abs(q2[i] - p2[i])) / 400
             assert distance[i] - 1e-12 <= sampled <= distance[i] + spacing
         assert np.count_nonzero(distance == 0.0) > 25
+
+
+class TestCurveSeparation:
+    def test_coefficients_imply_the_walk(self):
+        """Whenever ``_curves_apart_by_coefficients`` accepts and the segments
+        can be measured, the segment-pair walk accepts the certificate's nodes
+        and tubes too.  2,400 seeded maps of degree 1..32, dominated by
+        e^(i phi) z or e^(i phi) / z, scaled by 1e-12..1e12, at 1..2048 samples,
+        one in ten with a NaN, inf or 1e300 coefficient.  Half of them sit
+        near the edge of the test, 2 a_p - sum |k| a_k = (1e-6..0.1) a_p,
+        where a curve comes close to a cusp and the slack h^2 M / 2 decides."""
+        rng = np.random.default_rng(28)
+        tally = {"accepted": 0, "left to the walk": 0, "walked apart": 0}
+        for case in range(2400):
+            m = int(rng.integers(1, 33))
+            k = np.arange(-m, m + 1)
+            r = float(rng.uniform(0.3, 0.9))
+            samples = int(2 ** rng.uniform(0.0, 11.0))
+            # terms of size t / k^2 on the circle where they are largest
+            size = 10.0 ** rng.uniform(-4.0, 0.0) / np.maximum(k * k, 1) * np.where(k < 0, r ** -k, 1.0)
+            c = size * np.exp(2j * np.pi * rng.uniform(size=2 * m + 1))
+            dominant = m + int(rng.choice([-1, 1]))
+            c[dominant] = np.exp(2j * np.pi * rng.uniform())
+            if case % 2:
+                # near the edge: sum |k| a_k over the other terms is
+                # (1 - delta) a_p on the circle where it is largest
+                tail = np.abs(k * c) * np.array([1.0, r])[:, None] ** (k - k[dominant])
+                tail[:, dominant] = 0.0
+                c[k != k[dominant]] *= (1.0 - 10.0 ** rng.uniform(-6.0, -1.0)) / tail.sum(axis=1).max()
+            c *= 10.0 ** rng.uniform(-12.0, 12.0)
+            if rng.uniform() < 0.1:
+                c[int(rng.integers(2 * m + 1))] = rng.choice([np.nan, np.inf, 1e300])
+            n = 2 * samples
+            step = 2.0 * np.pi / n
+            # the certificate's nodes, scale and tubes
+            with np.errstate(all="ignore"):
+                nodes = rouche._table_product(rouche.annulus_basis(r, n, m), c).reshape(2, n)
+                scale = np.abs(c) * np.array([1.0, r])[:, None] ** k
+                tubes = step * step / 8.0 * (scale @ (k * k)) + rouche._ROUNDING * scale.sum(axis=1)
+                accepted = rouche._curves_apart_by_coefficients(scale, step) and rouche._segments(nodes) is not None
+                apart = _curves_apart(nodes, tubes)
+            assert apart or not accepted, (case, m, r, samples)
+            tally["accepted"] += accepted
+            tally["left to the walk"] += not accepted
+            tally["walked apart"] += apart and not accepted
+        assert min(tally.values()) >= 200, tally
+
+    @pytest.mark.parametrize("coefficients, r, walked, expected", [
+        ([0, 0, 1], 0.5, False, ("certified", None)),
+        # |lambda| = 0.85 r^2: injective, but the coefficients leave the
+        # curves' radii about 0 overlapping, 1 - |lambda| < r + |lambda| / r
+        ([0.85 * 0.36 * np.exp(0.7j), 0, 1], 0.6, True, ("certified", None)),
+        # 1/z + a/z^2 identifies z1 and z2 when 1/z1 + 1/z2 = -1/a, and its
+        # critical point -2a lies outside the disc: only the walk sees it
+        ([-0.74 - 0.4j, 1, 0, 0, 0], 0.47, True, ("inconclusive", "boundary curves closer than their tubes")),
+    ], ids=["identity", "joukowski-0.85", "two-to-one-without-a-critical-point"])
+    def test_the_walk_decides_what_the_coefficients_cannot(self, monkeypatch, coefficients, r, walked, expected):
+        walks = []
+        walk = rouche._curves_apart
+
+        def counted(nodes, tubes):
+            walks.append(nodes.shape)
+            return walk(nodes, tubes)
+
+        monkeypatch.setattr(rouche, "_curves_apart", counted)
+        f = laurent_map(coefficients)
+        for samples in (512, 2048):
+            cert = injectivity_certificate(f, r, samples=samples)
+            assert (cert.status, cert.reason, cert.critical_points) == (*expected, 0), samples
+        assert walks == ([(2, 1024), (2, 4096)] if walked else [])
+        if expected[0] == "inconclusive":
+            middle = -0.5 / coefficients[0]  # 1/z1 + 1/z2 = 2 middle = -1/a
+            z1, z2 = 1 / (middle * (1 + 2j)), 1 / (middle * (1 - 2j))
+            assert r < abs(z1) < 1 and r < abs(z2) < 1 and abs(z1 - z2) > 0.5
+            assert f.evaluator(np.array([z1])) == pytest.approx(f.evaluator(np.array([z2])), abs=1e-12)
 
 
 def corpus_map(name, r):
