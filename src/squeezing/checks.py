@@ -136,11 +136,10 @@ def suite_metrics():
     witness = _first(moved, lambda i: f"at {a[i]}, {b[i]}, {c[i]}")
     results.append(_result("hyperbolic", "mobius-invariance", not witness, witness))
 
-    def differs(ab):
-        a, b = ab
-        return abs(kobayashi_distance([a], [b]) - poincare_distance(a, b)) > TOL
-
-    witness = _counterexample(differs, _sample_disc(rng, 2000).reshape(-1, 2), lambda ab: f"at {ab}")
+    pairs = _sample_disc(rng, 2000).reshape(-1, 2)
+    a, b = pairs.T
+    differs = np.abs(kobayashi_distance(a[:, None], b[:, None]) - poincare_distance(a, b)) > TOL
+    witness = _first(differs, lambda i: f"at {pairs[i]}")
     results.append(_result("hyperbolic", "ball-matches-disc-dim1", not witness, witness))
     return results
 
@@ -288,12 +287,11 @@ def suite_symmetric():
             z = 0.9 * z
         return z
 
-    def escapes(domain_z):
-        domain, z = domain_z
-        return not all(contains(domain, t * z) for t in np.linspace(0.05, 0.95, 10))
-
-    draws = ((d, random_point(d)) for d in domains for _ in range(20))
-    witness = _counterexample(escapes, draws, lambda dz: f"{dz[0].describe()} at {dz[1].tolist()}")
+    # each domain's 20 rays t z, t in [0.05, 0.95], in one call: a (10, 20, ...) stack
+    draws = [np.array([random_point(d) for _ in range(20)]) for d in domains]
+    t = np.linspace(0.05, 0.95, 10)
+    escaped = np.concatenate([~contains(d, np.multiply.outer(t, z)).all(axis=0) for d, z in zip(domains, draws)])
+    witness = _first(escaped, lambda i: f"{domains[i // 20].describe()} at {draws[i // 20][i % 20].tolist()}")
     results.append(_result("symmetric", "scaling-monotonicity", not witness, witness))
 
     ok = all(product_constant([d]).value == kubota_constant(d).value for d in domains)

@@ -19,6 +19,11 @@ number (the parameter of an automorphism, of a Mobius circle image or of an
 excision, and a boundary distance's point) goes through ``_disc_parameter``,
 which refuses an array with ``ShapeMismatch``.  ``_is_integer`` is the
 package's one test for an integer argument.
+
+The ball kernels take stacks of points of shape (..., n).  Their sums over
+the coordinates, ``_dot`` and ``_inner`` (shared with the classical-domain
+membership test), are ``ndarray.dot`` and ``np.vdot`` for two vectors and one
+stacked matmul for a stack, and the two give each point the same bits.
 """
 
 from __future__ import annotations
@@ -131,16 +136,49 @@ def poincare_distance(a, b):
     return hyperbolic_radius(m)
 
 
-def _ball_point(z, dimension=None, what="ball point"):
+def _dot(a, z):
+    """sum_j a_j z_j over the last axis: a number for two vectors, and for a
+    stack an array that keeps the summed axis (length 1), so that it broadcasts
+    against the points.
+
+    A stack goes through a stacked matmul, one 1 x n by n x 1 product per
+    point, which gives each point the bits of ``a.dot(z)`` on its vectors;
+    ``np.linalg.norm(..., axis=-1)`` does not give the 1-D norm's bits.
+    """
+    if a.ndim == z.ndim == 1:
+        return a.dot(z)
+    return (a[..., None, :] @ z[..., :, None])[..., 0]
+
+
+def _inner(a, z):
+    """<z, a> = sum_j conj(a_j) z_j over the last axis, as ``_dot`` keeps or
+    drops it, with ``np.vdot``'s bits (which the stacked product matches)."""
+    if a.ndim == z.ndim == 1:
+        return np.vdot(a, z)
+    return _dot(a.conj(), z)
+
+
+def _norm(z):
+    """||z|| over the last axis, with the 1-D ``np.linalg.norm``'s bits: the
+    square root of re.re + im.im.  ``np.vdot(z, z).real`` sums in another
+    order and differs in the last bit for some z of 4 or more entries."""
+    return np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))
+
+
+def _ball_point(z, dimension=None, what="ball point", stacked=False):
     """The point as a 1-D complex vector (of ``dimension`` entries, when given)
-    or ShapeMismatch; DomainValidationError unless ||z|| < 1 (NaN fails)."""
+    or ShapeMismatch; DomainValidationError unless ||z|| < 1 (NaN and inf fail).
+
+    With ``stacked`` the points come as an array of shape (..., n), and every
+    one of them must lie in the ball.
+    """
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if arr.ndim != 1 or (dimension is not None and arr.shape != (dimension,)):
+    if (arr.ndim != 1 and not stacked) or (dimension is not None and arr.shape[-1] != dimension):
         size = "" if dimension is None else f"{dimension}-"
         raise ShapeMismatch(f"{what} must be a complex {size}vector, got shape {arr.shape}")
     with np.errstate(over="ignore"):  # a norm that overflows to inf is outside
-        inside = np.linalg.norm(arr) < 1.0
-    if not inside:
+        inside = _norm(arr) < 1.0
+    if not (inside.all() if arr.ndim > 1 else inside):  # a numpy bool's all() takes a microsecond
         raise DomainValidationError(f"{what} must lie in the open unit ball")
     return arr
 
@@ -152,23 +190,34 @@ def ball_mobius(a, z):
     the orthogonal projection onto the span of a and Q_a = id - P_a.  For
     a = 0 this is z -> -z; in dimension one it reduces to the disc Mobius map
     (a - z)/(1 - conj(a) z).
+
+    a and z are points of shape (..., n) with one n, broadcast against each
+    other; the result has the broadcast shape, and each of its rows has the
+    bits of the one-point call.  A point outside the ball (NaN and inf
+    included) raises DomainValidationError; a mismatched n, or stack shapes
+    that do not broadcast, ShapeMismatch.
     """
-    a_vec = _ball_point(a)
-    z_vec = _ball_point(z, a_vec.shape[0])
-    norm_a_sq = np.vdot(a_vec, a_vec).real
-    if norm_a_sq == 0.0:
-        return -z_vec
-    inner = np.vdot(a_vec, z_vec)  # <z, a>
-    proj = (inner / norm_a_sq) * a_vec
-    orth = z_vec - proj
-    return (a_vec - proj - np.sqrt(1.0 - norm_a_sq) * orth) / (1.0 - inner)
+    a = _ball_point(a, stacked=True)
+    z = _ball_point(z, a.shape[-1], stacked=True)
+    norm_a_sq = _inner(a, a).real
+    try:
+        inner = _inner(a, z)  # <z, a>
+    except ValueError:  # stack shapes that do not broadcast
+        raise ShapeMismatch(f"ball points of shapes {a.shape} and {z.shape} do not broadcast") from None
+    # at a = 0 the projection is 0 / 1 (adding True), and phi_0(z) = -z
+    proj = (inner / (norm_a_sq + (norm_a_sq == 0.0))) * a
+    return (a - proj - np.sqrt(1.0 - norm_a_sq) * (z - proj)) / (1.0 - inner)
 
 
 def kobayashi_distance(a, b):
     """Kobayashi distance on the unit ball: hyperbolic_radius(||phi_a(b)||).
 
     Symmetric, reduces to ``hyperbolic_radius(||b||)`` when a = 0, and agrees
-    with :func:`poincare_distance` in dimension one.
+    with :func:`poincare_distance` in dimension one.  Two vectors give a float;
+    points of shape (..., n) broadcast as in :func:`ball_mobius` and give an
+    array of the broadcast shape, each entry the one-point float.
     """
-    m = np.linalg.norm(ball_mobius(a, b))
-    return float(hyperbolic_radius(min(m, MAX_RADIUS)))
+    m = _norm(ball_mobius(a, b))
+    if m.ndim:
+        return hyperbolic_radius(np.minimum(m[..., 0], MAX_RADIUS))
+    return hyperbolic_radius(min(m, MAX_RADIUS))

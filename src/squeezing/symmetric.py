@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificates import BoundCertificate
 from .errors import DomainValidationError, EmptyList, PunctureEvaluation, ShapeMismatch
-from .hyperbolic import _ball_point, _is_integer
+from .hyperbolic import _ball_point, _dot, _inner, _is_integer
 
 
 class _Kind(NamedTuple):
@@ -135,43 +135,65 @@ class ClassicalDomain:
         return _KINDS[self.kind].name + ":" + ",".join(map(str, self.params))
 
 
-def _positive_definite(hermitian: np.ndarray) -> bool:
-    """LAPACK Cholesky factorisation; it fails at the first pivot <= 0.
+def _positive_definite(hermitian: np.ndarray):
+    """LAPACK Cholesky factorisation of each matrix of a stack of shape
+    (..., p, p); it fails at the first pivot <= 0.  A bool per matrix.
 
-    numpy's factorisation of a NaN or infinite matrix does not fail, but its
-    last pivot is then NaN, so that pivot must be positive.  Exact boundary
-    ties are decided by rounding (see ``contains``).
+    numpy raises one LinAlgError when any matrix of a stack fails, so the
+    whole stack is factored once, and only after that error is each matrix
+    factored alone; a single matrix is factored once.  numpy's factorisation
+    of a NaN or infinite matrix does not fail, but its last pivot is then NaN,
+    so that pivot must be positive.  Exact boundary ties are decided by
+    rounding (see ``contains``).
     """
     try:
         factor = np.linalg.cholesky(hermitian)
     except np.linalg.LinAlgError:
-        return False
-    return bool(factor[-1, -1].real > 0.0)
+        if hermitian.ndim == 2:
+            return np.False_
+        matrices = hermitian.reshape(-1, *hermitian.shape[-2:])
+        return np.array([_positive_definite(h) for h in matrices]).reshape(hermitian.shape[:-2])
+    return factor[..., -1, -1][()].real > 0.0  # [()]: one matrix's pivot as a number, compared faster
 
 
-def contains(domain: ClassicalDomain, point) -> bool:
+def contains(domain: ClassicalDomain, point):
     """Strict membership of ``point`` in the given classical domain; exact
     boundary ties of types I-III are decided by rounding, not always outside
     (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside).
-    A point with a NaN or infinite entry is outside."""
+    A point with a NaN or infinite entry is outside.
+
+    One point of ``domain.point_shape`` ((r, s), (p, p), (q, q) or (n,)) gives
+    a bool; a stack of shape (..., *point_shape) gives a bool array of shape
+    (...), each entry the one-point answer.  A wrong trailing shape, or a
+    point of type II or III that is not exactly (skew-)symmetric (a NaN entry
+    counts as equal to a NaN at its mirror), raises ShapeMismatch.
+    """
     z = np.asarray(point, dtype=complex)
     shape, symmetry = domain.point_shape, domain.point_symmetry
-    if z.shape != shape:
+    if z.shape[-len(shape):] != shape:
         what = f"a {shape[0]}x{shape[1]} matrix" if len(shape) == 2 else f"a complex {shape[0]}-vector"
         raise ShapeMismatch(f"type {domain.kind} point must be {what}, got shape {z.shape}")
-    # z.T or -z.T: symmetry * z.T would warn on an infinite entry (inf * 0)
-    if symmetry and not np.array_equal(z, z.T if symmetry > 0 else -z.T):
-        what = "symmetric" if symmetry > 0 else "skew-symmetric"
-        raise ShapeMismatch(f"type {domain.kind} point must be exactly {what}")
-    if not np.isfinite(z).all():  # before any product, where an infinite entry warns (inf * 0)
-        return False
+    all_finite = np.isfinite(z).all()
+    finite = all_finite or np.isfinite(z).all(axis=(-2, -1) if len(shape) == 2 else -1)  # per point
+    if symmetry:
+        # a NaN entry equals the NaN at its mirror (-nan is NaN): the point is
+        # outside, not malformed.  z.T or -z.T: symmetry * z.T would warn on
+        # an infinite entry (inf * 0)
+        zt = z.swapaxes(-1, -2)
+        if not np.array_equal(z, zt if symmetry > 0 else -zt, equal_nan=not all_finite):
+            what = "symmetric" if symmetry > 0 else "skew-symmetric"
+            raise ShapeMismatch(f"type {domain.kind} point must be exactly {what}")
+    if not all_finite:  # zeros in their place before any product, where an infinite entry warns (inf * 0)
+        z = np.where(finite[(..., *(None,) * len(shape))], z, 0.0)
     if domain.kind == "IV":
-        quad = np.dot(z, z)  # non-conjugated sum z_j^2
-        norm_sq = np.vdot(z, z).real
-        return bool(1.0 + abs(quad) ** 2 - 2.0 * norm_sq > 0.0 and 1.0 - abs(quad) > 0.0)
-    h = np.eye(z.shape[0], dtype=complex) - z @ z.conj().T
-    h = 0.5 * (h + h.conj().T)
-    return _positive_definite(h)
+        quad = abs(_dot(z, z))  # |zz'|, zz' the non-conjugated sum z_j^2
+        inside = (1.0 + quad ** 2 - 2.0 * _inner(z, z).real > 0.0) & (quad < 1.0)
+    else:
+        h = np.eye(shape[0], dtype=complex) - z @ z.conj().swapaxes(-1, -2)
+        inside = _positive_definite(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    if z.ndim > len(shape):
+        return inside.reshape(z.shape[:z.ndim - len(shape)]) & finite  # type IV keeps the summed axis
+    return bool(inside & finite)
 
 
 def _inverse_sqrt(m: int) -> float:
@@ -247,7 +269,17 @@ def punctured_ball_squeezing(z, dimension: int | None = None) -> BoundCertificat
 
 
 def uniform_ball_points(rng: np.random.Generator, dimension: int, count: int, radius: float = 1.0):
-    """Uniform samples from the complex ``dimension``-ball of the given radius."""
+    """``count`` uniform samples from the complex ``dimension``-ball of the given
+    radius, as a complex array of shape (count, dimension).
+
+    A ``dimension`` that is not an integer of at least 1, or a ``count`` that is
+    not an integer of at least 0 (a bool is neither), raises
+    DomainValidationError.
+    """
+    if not _is_integer(dimension) or dimension < 1:
+        raise DomainValidationError(f"dimension must be a positive integer, got {dimension!r}")
+    if not _is_integer(count) or count < 0:
+        raise DomainValidationError(f"count must be a non-negative integer, got {count!r}")
     g = rng.standard_normal((count, dimension)) + 1j * rng.standard_normal((count, dimension))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     u = rng.random(count) ** (1.0 / (2 * dimension))
@@ -275,10 +307,10 @@ def sandwich_check_type_i(r: int, s: int, samples: int = 1000, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     dim = r * s
 
-    if not all(contains(domain, z.reshape(r, s)) for z in uniform_ball_points(rng, dim, samples)):
+    if not contains(domain, uniform_ball_points(rng, dim, samples).reshape(-1, r, s)).all():
         return False
 
     sphere = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     sphere *= np.sqrt(r) * (1.0 + 1e-9) / np.linalg.norm(sphere, axis=1, keepdims=True)
-    outside = not any(contains(domain, z.reshape(r, s)) for z in sphere)
+    outside = not contains(domain, sphere.reshape(-1, r, s)).any()
     return outside and r ** -0.5 == kubota_constant(domain).value

@@ -243,6 +243,75 @@ class TestKobayashiBall:
         assert np.linalg.norm(ball_mobius(a, ball_mobius(a, z)) - z) <= TOLERANCE
 
 
+def _ball_stack(rng, n, count, cap=0.99):
+    """``count`` points of the complex n-ball of radius ``cap``, at radii spread over [0, cap)."""
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return z * (cap * rng.random((count, 1)) / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+class TestStackedBallKernels:
+    """A stack of points gives, row by row, the bits of the one-point call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_against_stack(self, n):
+        rng = np.random.default_rng(40 + n)
+        a, b = _ball_stack(rng, n, 60), _ball_stack(rng, n, 60)
+        a[::7] = 0.0  # a = 0 rows: phi_0(z) = -z
+        b[::5] = a[::5]  # equal points: distance 0 up to rounding
+        distances, images = kobayashi_distance(a, b), ball_mobius(a, b)
+        assert distances.shape == (60,) and images.shape == (60, n)
+        for i in range(60):
+            one = kobayashi_distance(a[i], b[i])
+            assert type(one) is float and distances[i] == one
+            assert np.array_equal(images[i], ball_mobius(a[i], b[i]))
+        assert np.all(distances[::5] <= TOLERANCE)
+        assert np.unique(distances).size > 40  # the rows are not one answer
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_vector_broadcast_against_a_stack(self, n):
+        rng = np.random.default_rng(50 + n)
+        a, b = _ball_stack(rng, n, 1)[0], _ball_stack(rng, n, 40)
+        b[3] = a
+        for left, right, flip in ((a, b, False), (b, a, True), (np.zeros(n), b, False)):
+            distances, images = kobayashi_distance(left, right), ball_mobius(left, right)
+            assert distances.shape == (40,) and images.shape == (40, n)
+            for i in range(40):
+                pair = (left[i], right) if flip else (left, right[i])
+                assert distances[i] == kobayashi_distance(*pair)
+                assert np.array_equal(images[i], ball_mobius(*pair))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_from_the_centre_a_stack_reads_the_1d_norm(self, n):
+        # ||phi_0(z)|| = ||z|| with the bits of np.linalg.norm on one vector, which
+        # np.vdot(z, z).real and np.linalg.norm(..., axis=-1) do not always give
+        z = _ball_stack(np.random.default_rng(70 + n), n, 200)
+        distances = kobayashi_distance(np.zeros(n), z)
+        assert all(distances[i] == hyperbolic_radius(float(np.linalg.norm(z[i]))) for i in range(200))
+
+    def test_batch_shapes_broadcast(self):
+        rng = np.random.default_rng(60)
+        a, b = _ball_stack(rng, 2, 12).reshape(3, 4, 2), _ball_stack(rng, 2, 4)
+        distances = kobayashi_distance(a, b)
+        assert distances.shape == (3, 4)
+        assert all(distances[i, j] == kobayashi_distance(a[i, j], b[j]) for i in range(3) for j in range(4))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[1e300, 0.0], [1e200 + 1e200j, 0.0], [np.inf, 0.0], [np.nan, 0.0], [0.6, 0.8]])
+    def test_one_bad_row_refuses_the_stack_without_warning(self, bad):
+        stack = np.zeros((5, 2), dtype=complex)
+        stack[3] = bad
+        with pytest.raises(DomainValidationError):
+            kobayashi_distance(stack, np.zeros(2))
+        with pytest.raises(DomainValidationError):
+            ball_mobius(np.zeros(2), stack)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            kobayashi_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatch):
+            kobayashi_distance(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
 class TestBoundedMetric:
     def test_zero(self):
         assert bounded_metric(0.0) == 0.0

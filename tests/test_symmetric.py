@@ -13,6 +13,7 @@ from squeezing import (
     product_constant,
     punctured_ball_squeezing,
     sandwich_check_type_i,
+    uniform_ball_points,
 )
 from squeezing import symmetric
 from squeezing.errors import (
@@ -190,6 +191,23 @@ class TestMembership:
         # RuntimeWarnings are errors in this suite: the products must never run
         assert not contains(domain, point)
 
+    @pytest.mark.parametrize(
+        "domain, point",
+        [
+            (ClassicalDomain.type_ii(2), [[np.nan, 0.0], [0.0, 0.0]]),
+            (ClassicalDomain.type_ii(2), [[0.0, np.nan], [np.nan, 0.0]]),
+            (ClassicalDomain.type_iii(2), [[np.nan, 0.0], [0.0, 0.0]]),
+            (ClassicalDomain.type_iii(2), [[0.0, np.nan], [np.nan, 0.0]]),
+        ],
+    )
+    def test_nan_point_of_type_ii_or_iii_outside(self, domain, point):
+        # a NaN equals the NaN at its mirror: the point is outside, not malformed
+        assert contains(domain, point) is False
+
+    def test_nan_does_not_excuse_asymmetry(self):
+        with pytest.raises(ShapeMismatch):
+            contains(ClassicalDomain.type_ii(2), [[np.nan, 1.0], [0.5, 0.0]])
+
     def test_non_finite_type_i_sweep(self):
         rng = np.random.default_rng(15)
         bad = (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf))
@@ -213,13 +231,86 @@ class TestMembership:
                 assert contains(domain, t * z)
 
 
+def _mixed_stack(domain, rng, count=24):
+    """Points of ``domain`` at scales 0.3 (inside) and 3 (outside), with a NaN
+    and an infinite point placed where they keep any symmetry."""
+    shape = domain.point_shape
+    z = rng.standard_normal((count, *shape)) + 1j * rng.standard_normal((count, *shape))
+    if domain.point_symmetry:
+        z = z + z.swapaxes(-1, -2) if domain.point_symmetry > 0 else z - z.swapaxes(-1, -2)
+    z *= np.where(np.arange(count) % 2, 0.3, 3.0).reshape(-1, *(1,) * len(shape)) / np.abs(z).max()
+    for i, bad in ((5, np.nan), (8, np.inf)):
+        if len(shape) == 1:
+            z[i, 0] = bad
+        else:
+            z[i, 0, -1] = bad
+            z[i, -1, 0] = bad if domain.point_symmetry >= 0 else -bad
+    return z
+
+
+class TestStackedMembership:
+    """A stack of points gives, point by point, the one-point answer."""
+
+    @pytest.mark.parametrize("token", ["typeI:1,1", "typeI:2,3", "typeII:3", "typeIII:4", "typeIV:3"])
+    def test_mixed_stack_matches_one_point_calls(self, token):
+        domain = ClassicalDomain.parse(token)
+        stack = _mixed_stack(domain, np.random.default_rng(len(token)))
+        inside = contains(domain, stack)
+        assert inside.shape == (24,) and inside.dtype == bool
+        one = [contains(domain, z) for z in stack]
+        assert all(type(x) is bool for x in one)
+        assert inside.tolist() == one
+        assert 0 < inside.sum() < 22  # inside and outside points both present
+        assert not inside[5] and not inside[8]
+        grid = contains(domain, stack.reshape(4, 6, *domain.point_shape))
+        assert grid.shape == (4, 6) and grid.ravel().tolist() == one
+
+    def test_type_ii_tie_stays_inside_in_a_stack(self):
+        domain = ClassicalDomain.type_ii(2)
+        tie = np.array([[0.5, 0.5], [0.5, 0.5]])
+        stack = np.array([tie, 2.0 * tie, 0.5 * tie, [[np.nan, 0.0], [0.0, 0.0]]])
+        assert contains(domain, tie) is True
+        assert contains(domain, stack).tolist() == [True, False, True, False]
+
+    def test_wrong_trailing_shape(self):
+        with pytest.raises(ShapeMismatch):
+            contains(ClassicalDomain.type_i(2, 3), np.zeros((5, 3, 2)))
+        with pytest.raises(ShapeMismatch):
+            contains(ClassicalDomain.type_iv(3), np.zeros((5, 2)))
+        with pytest.raises(ShapeMismatch):
+            contains(ClassicalDomain.type_iv(3), 0.0)
+
+    def test_one_asymmetric_matrix_refuses_the_stack(self):
+        stack = np.zeros((4, 2, 2))
+        stack[2, 0, 1] = 0.5
+        with pytest.raises(ShapeMismatch):
+            contains(ClassicalDomain.type_ii(2), stack)
+
+
+class TestUniformBallPoints:
+    @pytest.mark.parametrize(
+        "dimension, count",
+        [(0, 5), (-1, 5), (1.0, 5), (True, 5), ("2", 5), (2, -1), (2, 2.5), (2, True), (2, None)],
+    )
+    def test_bad_dimension_or_count_refused(self, dimension, count):
+        with pytest.raises(DomainValidationError):
+            uniform_ball_points(np.random.default_rng(0), dimension, count)
+
+    def test_shape_and_radius(self):
+        rng = np.random.default_rng(1)
+        assert uniform_ball_points(rng, 3, 0).shape == (0, 3)
+        z = uniform_ball_points(rng, np.int64(2), np.int64(50), 0.5)
+        assert z.shape == (50, 2) and z.dtype == complex
+        assert np.all(np.linalg.norm(z, axis=1) < 0.5)
+
+
 class TestSandwichCheck:
     @pytest.mark.parametrize("r, s, samples, seed", [(1, 1, 200, 1), (2, 2, 300, 2), (2, 3, 1000, 3)])
     @pytest.mark.parametrize("bound", [math.inf, 1.5, 0.5], ids=["everything", "op-below-1.5", "op-below-0.5"])
     def test_wrong_membership_fails(self, monkeypatch, r, s, samples, seed, bound):
         # a membership test that accepts too much (everything, or ||Z||_op < 1.5)
         # breaks the outer inclusion; one that accepts too little breaks the inner
-        monkeypatch.setattr(symmetric, "contains", lambda domain, z: np.linalg.norm(z, 2) < bound)
+        monkeypatch.setattr(symmetric, "contains", lambda domain, z: np.linalg.norm(z, 2, axis=(-2, -1)) < bound)
         assert not sandwich_check_type_i(r, s, samples=samples, seed=seed)
 
     @pytest.mark.parametrize("samples", [0, -1, 1.5, 2.0, True, None, "3"])
