@@ -25,6 +25,7 @@ from .errors import (
     PointNotInDomain,
     PointOutsideAnnulus,
     PunctureEvaluation,
+    ShapeMismatch,
 )
 from .hyperbolic import (
     TOLERANCE,
@@ -255,11 +256,52 @@ class ExcisedDomain:
     def far_constant(self) -> float:
         return _gap_value(0.5 * (self.v + self.w), self.v)
 
-    def contains(self, z) -> bool:
-        point = complex(z)
-        if not abs(point) < 1.0:  # also rejects nan
-            return False
-        return not any(abs(point - center) <= radius for center, radius in self.hole_circles)
+    def contains(self, z):
+        """Strict membership: |z| < 1 and z outside every closed hole.
+
+        One point gives a ``bool``; a stack (an array of any shape) gives a
+        bool array of its shape, each entry the one-point answer.  A NaN or
+        infinite point is outside, and so is None, which numpy converts to NaN.
+        """
+        point = _plane_points(z)
+        inside = _modulus(point) < 1.0  # also rejects nan
+        for center, radius in self.hole_circles:
+            inside = inside & (_modulus(point - center) > radius)  # the holes are closed
+        return inside
+
+    def collar(self, z):
+        """Index of the first hole whose collar (the automorphism image of the
+        open disc of radius (v+w)/2) holds z, or -1 when none does.
+
+        One point gives an ``int``; a stack gives an int array of its shape,
+        each entry the one-point answer.  This is the region test of
+        ``excised_domain_lower_bound``: -1 is "far", any other index "near".
+        """
+        point = _plane_points(z)
+        hits = [_modulus(point - center) < radius for center, radius in self.collar_circles]
+        if isinstance(point, complex):
+            return hits.index(True) if True in hits else -1
+        return np.where(np.any(hits, axis=0), np.argmax(hits, axis=0), -1)
+
+
+def _plane_points(z):
+    """One point as a complex number, or a stack as a complex array;
+    DomainValidationError for what numpy cannot read as complex numbers."""
+    if isinstance(z, (int, float, complex)):  # numpy's float64 and complex128 too; skips np.asarray
+        return complex(z)
+    try:
+        points = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainValidationError(f"points must be complex numbers, got {z!r}") from None
+    return complex(points) if points.ndim == 0 else points
+
+
+def _modulus(z):
+    """|z| of a complex number, or of each entry of a complex array, with the
+    bits of Python's ``abs`` (the C library's hypot).  ``np.abs`` of a complex
+    array rounds otherwise: it differs from ``abs`` in the last bit on about a
+    third of random points (numpy 2.4, x86-64)."""
+    return abs(z) if isinstance(z, complex) else np.hypot(z.real, z.imag)
 
 
 def excised_domain_lower_bound(domain: ExcisedDomain, z) -> BoundCertificate:
@@ -269,16 +311,16 @@ def excised_domain_lower_bound(domain: ExcisedDomain, z) -> BoundCertificate:
     disc of radius (v+w)/2) get the excision constant c(u, (v+w)/2, w);
     points outside every collar are hyperbolically far from the boundary and
     get euclidean_radius(hyperbolic_radius((v+w)/2) - hyperbolic_radius(v)).
+    The region is ``domain.collar(z)``.  ``z`` is one point: an array raises
+    ShapeMismatch, and a point outside the domain PointNotInDomain.
     """
-    point = complex(z)
+    point = _plane_points(z)
+    if not isinstance(point, complex):
+        raise ShapeMismatch(f"the point must be a scalar, got shape {point.shape}")
     if not domain.contains(point):
         raise PointNotInDomain(f"z = {point} is not in the excised domain")
-    region = "far"
-    for index, (center, radius) in enumerate(domain.collar_circles):
-        if abs(point - center) < radius:
-            region = "near"
-            break
-    if region == "near":
+    index = domain.collar(point)
+    if index >= 0:
         value = domain.near_constant
         witness = {"region": "near", "excision": index, "u": domain.u, "v": domain.v, "w": domain.w}
     else:
@@ -394,9 +436,29 @@ def completeness_criterion(
 def lipschitz_check(squeezing_fn: Callable, distance_fn: Callable, pairs: Iterable) -> bool:
     """Check |s(x) - s(y)| <= 2 * euclidean_radius(distance(x, y)) + TOLERANCE
     for every pair, i.e. the squeezing value is 2-Lipschitz with respect to
-    the tanh-compressed invariant distance."""
-    for x, y in pairs:
-        gap = abs(squeezing_fn(x) - squeezing_fn(y))
-        if not gap <= 2.0 * euclidean_radius(distance_fn(x, y)) + TOLERANCE:  # a NaN gap fails too
-            return False
-    return True
+    the tanh-compressed invariant distance.
+
+    The pairs are stacked once into an array of shape (k, 2, ...), and each
+    function is called once on the stacks x and y of shape (k, ...):
+    ``squeezing_fn`` must return k values or one that broadcasts, and so must
+    ``distance_fn`` (the ball kernels take stacks).  Each point is a row of
+    the stack, so disc points stack to shape (k,), which ``poincare_distance``
+    takes point by point but a ball kernel would read as one k-vector; pass
+    ball points as vectors.  A NaN gap fails.  No pairs raise EmptyList, and
+    pairs that do not stack, or results that are not k values or one,
+    ShapeMismatch.
+    """
+    try:
+        stack = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    except ValueError:
+        raise ShapeMismatch("the pairs must be points of one shape") from None
+    if stack.shape[:1] == (0,):
+        raise EmptyList("at least one pair is required")
+    if stack.ndim < 2 or stack.shape[1] != 2:
+        raise ShapeMismatch(f"pairs must stack to shape (k, 2, ...), got {stack.shape}")
+    x, y = stack[:, 0], stack[:, 1]
+    gap = np.abs(squeezing_fn(x) - squeezing_fn(y))
+    limit = 2.0 * euclidean_radius(distance_fn(x, y)) + TOLERANCE
+    if {np.shape(gap), np.shape(limit)} - {(), (1,), (len(stack),)}:
+        raise ShapeMismatch(f"the functions must give {len(stack)} values or one")
+    return bool(np.all(gap <= limit))  # a NaN gap fails too

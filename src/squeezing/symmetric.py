@@ -140,11 +140,18 @@ def _positive_definite(hermitian: np.ndarray):
     (..., p, p); it fails at the first pivot <= 0.  A bool per matrix.
 
     numpy raises one LinAlgError when any matrix of a stack fails, so the
-    whole stack is factored once, and only after that error is each matrix
-    factored alone; a single matrix is factored once.  numpy's factorisation
-    of a NaN or infinite matrix does not fail, but its last pivot is then NaN,
-    so that pivot must be positive.  Exact boundary ties are decided by
-    rounding (see ``contains``).
+    whole stack is factored once; a single matrix is factored once.  numpy's
+    factorisation of a NaN or infinite matrix does not fail, but its last
+    pivot is then NaN, so that pivot must be positive.
+
+    After that error, every matrix with a diagonal entry that is not > 0 is
+    outside without factoring.  A Hermitian matrix with h_jj <= 0 is not
+    positive definite, and LAPACK fails on it too: its pivot j is h_jj minus
+    computed squared moduli, each >= 0, and as rounding is monotone each
+    subtraction leaves a value <= h_jj <= 0.  A NaN h_jj gives a NaN pivot,
+    outside either way.  The other matrices are factored again as one stack,
+    and only if that raises too is each of them factored alone.  Exact
+    boundary ties are decided by rounding (see ``contains``).
     """
     try:
         factor = np.linalg.cholesky(hermitian)
@@ -152,7 +159,13 @@ def _positive_definite(hermitian: np.ndarray):
         if hermitian.ndim == 2:
             return np.False_
         matrices = hermitian.reshape(-1, *hermitian.shape[-2:])
-        return np.array([_positive_definite(h) for h in matrices]).reshape(hermitian.shape[:-2])
+        inside = (np.diagonal(matrices, axis1=-2, axis2=-1).real > 0.0).all(axis=-1)
+        if inside.any():
+            try:
+                inside[inside] = np.linalg.cholesky(matrices[inside])[:, -1, -1].real > 0.0
+            except np.linalg.LinAlgError:
+                inside[inside] = [_positive_definite(h) for h in matrices[inside]]
+        return inside.reshape(hermitian.shape[:-2])
     return factor[..., -1, -1][()].real > 0.0  # [()]: one matrix's pivot as a number, compared faster
 
 

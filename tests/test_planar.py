@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,11 +31,13 @@ from squeezing import (
 )
 from squeezing.errors import (
     DomainValidationError,
+    EmptyList,
     OutOfFundamentalRange,
     ParameterOrderViolation,
     PointNotInDomain,
     PointOutsideAnnulus,
     PunctureEvaluation,
+    ShapeMismatch,
 )
 
 QUARTER = Annulus(0.25)
@@ -295,13 +298,106 @@ class TestExcisedDomain:
             ExcisedDomain(0.2, 0.3, 0.45, (Excision(0.5, 0.35),))
 
 
+class TestExcisedPointContract:
+    def test_an_array_point_is_a_shape_mismatch(self):
+        domain = krantz_domain()
+        for z in (np.array([0.1, 0.2]), [0.1], np.zeros((2, 2))):
+            with pytest.raises(ShapeMismatch):
+                excised_domain_lower_bound(domain, z)
+
+    def test_a_zero_dimensional_array_is_one_point(self):
+        domain = krantz_domain()
+        assert excised_domain_lower_bound(domain, np.array(0.0)) == excised_domain_lower_bound(domain, 0.0)
+        assert domain.contains(np.array(0.0)) is True and domain.collar(np.array(0.0)) == -1
+
+    def test_the_holes_are_closed(self):
+        # the hole of parameter 0 is the disc |z| <= 1/4 exactly, so 1/4 is on its circle
+        domain = ExcisedDomain(0.2, 0.3, 0.45, (Excision(0j, 0.25),))
+        assert domain.hole_circles == ((0j, 0.25),)
+        assert domain.contains(0.25) is False and domain.contains(0.25 + 2.0 ** -50) is True
+        assert domain.contains(np.array([0.25, -0.25j, 0.25 + 2.0 ** -50])).tolist() == [False, False, True]
+
+    def test_none_converts_to_nan_and_is_outside(self):
+        domain = krantz_domain()
+        assert domain.contains(None) is False
+        assert domain.contains([None, 0.0]).tolist() == [False, True]
+        with pytest.raises(PointNotInDomain):
+            excised_domain_lower_bound(domain, None)
+
+    @pytest.mark.parametrize("z", ["abc", object(), [0.1, "abc"]])
+    def test_what_is_not_a_number_is_refused(self, z):
+        with pytest.raises(DomainValidationError):
+            krantz_domain().contains(z)
+        with pytest.raises(DomainValidationError):
+            excised_domain_lower_bound(krantz_domain(), z)
+
+
+def _excised_mixed_stack(domain, rng):
+    """Random disc points, points on each hole and collar circle, points with
+    |z| >= 1, and NaN and infinite points."""
+    theta = np.exp(2j * np.pi * rng.random(8))
+    circles = [*domain.hole_circles, *domain.collar_circles]
+    return np.concatenate([
+        uniform_ball_points(rng, 1, 40)[:, 0],
+        np.concatenate([center + radius * theta for center, radius in circles]),
+        theta, 1.5 * theta,
+        [complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, complex(-math.inf, 1.0), complex(math.inf, math.nan)],
+    ])
+
+
+class TestStackedExcisedDomain:
+    """A stack of points gives, point by point, the one-point answer."""
+
+    @pytest.mark.parametrize("make", [krantz_domain, checks.two_hole_domain])
+    def test_mixed_stack_matches_one_point_calls(self, make):
+        domain = make()
+        stack = _excised_mixed_stack(domain, np.random.default_rng(30))
+        inside, collar = domain.contains(stack), domain.collar(stack)
+        assert inside.shape == collar.shape == stack.shape
+        assert inside.dtype == bool and collar.dtype.kind == "i"
+        one_inside = [domain.contains(z) for z in stack]
+        one_collar = [domain.collar(z) for z in stack]
+        assert all(type(x) is bool for x in one_inside) and all(type(x) is int for x in one_collar)
+        assert inside.tolist() == one_inside and collar.tolist() == one_collar
+        assert 0 < inside.sum() < len(stack) and (collar >= 0).any() and (collar == -1).any()
+        assert not inside[-5:].any() and not inside[-13:-5].any()  # non-finite, |z| = 1.5
+        grid = stack[:-1].reshape(4, -1)
+        assert domain.contains(grid).ravel().tolist() == one_inside[:-1]
+        assert domain.collar(grid).ravel().tolist() == one_collar[:-1]
+
+    @pytest.mark.parametrize("make", [krantz_domain, checks.two_hole_domain])
+    def test_the_bound_reads_its_region_from_the_collar(self, make):
+        domain = make()
+        stack = _excised_mixed_stack(domain, np.random.default_rng(31))
+        for z, inside, index in zip(stack, domain.contains(stack), domain.collar(stack)):
+            if not inside:
+                continue
+            witness = excised_domain_lower_bound(domain, z).witness
+            assert witness["region"] == ("near" if index >= 0 else "far")
+            assert witness.get("excision", -1) == index
+
+
 class TestExcisedCheck:
     def excised_result(self):
         (result,) = [r for r in checks.suite_planar() if r.invariant == "excised-domain-two-case"]
         return result
 
     def test_membership_that_ignores_the_holes_fails(self, monkeypatch):
-        monkeypatch.setattr(planar.ExcisedDomain, "contains", lambda self, z: abs(complex(z)) < 1.0)
+        # the wrong rule applied per point, as the stacked membership call needs
+        monkeypatch.setattr(planar.ExcisedDomain, "contains", lambda self, z: np.abs(np.asarray(z, dtype=complex)) < 1.0)
+        result = self.excised_result()
+        assert not result.passed
+        assert result.witness.startswith("at ")
+
+    def test_a_bound_with_the_other_regions_value_fails(self, monkeypatch):
+        bound = checks.excised_domain_lower_bound
+
+        def swapped(domain, z):
+            certificate = bound(domain, z)
+            other = domain.far_constant if certificate.witness["region"] == "near" else domain.near_constant
+            return dataclasses.replace(certificate, value=other)
+
+        monkeypatch.setattr(checks, "excised_domain_lower_bound", swapped)
         result = self.excised_result()
         assert not result.passed
         assert result.witness.startswith("at ")
@@ -427,6 +523,36 @@ class TestLipschitzCheck:
     def test_equal_points(self):
         z = np.array([0.2, 0.1j])
         assert lipschitz_check(lambda v: float(np.linalg.norm(v)), kobayashi_distance, [(z, z)])
+
+    @pytest.mark.parametrize("pairs", [[], (p for p in []), np.zeros((0, 2, 3))], ids=["list", "generator", "array"])
+    def test_no_pairs_refused(self, pairs):
+        with pytest.raises(EmptyList):
+            lipschitz_check(lambda z: 0.5, lambda x, y: 0.5, pairs)
+
+    def test_each_function_is_called_once_on_the_stacks(self):
+        rng = np.random.default_rng(15)
+        pairs = [tuple(uniform_ball_points(rng, 2, 2)) for _ in range(40)]
+        shapes = []
+
+        def norm(z):
+            shapes.append(z.shape)
+            return np.linalg.norm(z, axis=-1)
+
+        assert lipschitz_check(norm, kobayashi_distance, pairs)
+        assert shapes == [(40, 2), (40, 2)]
+        # one pair given distance 0 at unequal norms fails the stack
+        assert not lipschitz_check(norm, lambda x, y: kobayashi_distance(x, y) * (np.arange(40) != 7), pairs)
+
+    def test_pairs_of_mixed_shapes_refused(self):
+        with pytest.raises(ShapeMismatch):
+            lipschitz_check(lambda z: 0.5, lambda x, y: 0.5, [(np.zeros(2), np.zeros(3))])
+        with pytest.raises(ShapeMismatch):
+            lipschitz_check(lambda z: 0.5, lambda x, y: 0.5, [0.1, 0.2])
+
+    def test_results_that_do_not_give_one_value_per_pair_refused(self):
+        pairs = np.zeros((5, 2, 2))
+        with pytest.raises(ShapeMismatch):  # (5, 1) against (5,) would broadcast to 25 comparisons
+            lipschitz_check(lambda z: np.zeros((5, 1)), kobayashi_distance, pairs)
 
     # a NaN gap fails, as a NaN completeness margin does; inf - inf is NaN
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf-at-both-points"])

@@ -287,6 +287,75 @@ class TestStackedMembership:
             contains(ClassicalDomain.type_ii(2), stack)
 
 
+def _cholesky_stack(domain, rng, count=60):
+    """Points of a type I-III ``domain`` scaled to operator norms in (0.3, 1.6),
+    with a NaN point and a tie where the kind has one, and the category of
+    each: 0 inside, 1 with a diagonal entry of I - Z Z^H <= 0, 2 with a
+    positive diagonal but not positive definite (a later pivot fails)."""
+    shape = domain.point_shape
+    z = rng.standard_normal((count, *shape)) + 1j * rng.standard_normal((count, *shape))
+    if domain.point_symmetry:
+        z = z + z.swapaxes(-1, -2) if domain.point_symmetry > 0 else z - z.swapaxes(-1, -2)
+    z *= (rng.uniform(0.3, 1.6, count) / np.linalg.norm(z, 2, axis=(-2, -1)))[:, None, None]
+    z[3] = np.nan
+    if domain.kind == "II" and shape == (2, 2):
+        z[4] = [[0.5, 0.5], [0.5, 0.5]]  # ||Z|| = 1, inside by rounding
+    h = np.eye(shape[0]) - z @ z.conj().swapaxes(-1, -2)
+    diagonal = (np.diagonal(h, axis1=-2, axis2=-1).real > 0.0).all(axis=-1)
+    definite = np.linalg.eigvalsh(np.where(np.isnan(h), 0.0, h))[:, 0] > 1e-12
+    definite[4] |= domain.kind == "II" and shape == (2, 2)  # the tie
+    return z, np.where(~diagonal, 1, np.where(definite, 0, 2))
+
+
+class TestScreenedCholesky:
+    """After a stacked factorisation fails, the matrices with a diagonal entry
+    <= 0 are outside without factoring, and the stack answers, point by point,
+    as the one-point calls do."""
+
+    @pytest.mark.parametrize("token", ["typeI:1,1", "typeI:2,3", "typeI:3,3", "typeII:2", "typeII:3", "typeIII:4", "typeIII:5"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_stack_matches_one_point_calls(self, token, seed):
+        domain = ClassicalDomain.parse(token)
+        z, category = _cholesky_stack(domain, np.random.default_rng(seed))
+        inside = contains(domain, z)
+        assert inside.tolist() == [contains(domain, x) for x in z]
+        assert inside.tolist() == (category == 0).tolist()
+        assert not inside[3] and (category == 1).any()  # the NaN point, and one screened matrix
+        assert inside[4] or token != "typeII:2"
+
+    @pytest.mark.parametrize("token", ["typeI:2,3", "typeII:3", "typeIII:4"])
+    def test_each_fallback_branch_matches_one_matrix_calls(self, token, monkeypatch):
+        domain = ClassicalDomain.parse(token)
+        z, category = _cholesky_stack(domain, np.random.default_rng(len(token)), count=400)
+        finite = np.isfinite(z).all(axis=(-2, -1))
+        z, category = z[finite], category[finite]
+        h = np.eye(domain.point_shape[0]) - z @ z.conj().swapaxes(-1, -2)
+        h = 0.5 * (h + h.conj().swapaxes(-1, -2))
+        assert {0, 1, 2} <= set(category.tolist())
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        # the whole stack raises; the screened rest (no diagonal entry <= 0) is
+        # factored as one stack, and only when that raises too, each of it alone
+        p = domain.point_shape[0]
+        for keep, alone in ((category != 2, False), (np.ones(len(h), bool), True)):
+            shapes.clear()
+            stacked = symmetric._positive_definite(h[keep])
+            rest = int((category[keep] != 1).sum())
+            assert shapes == [h[keep].shape, (rest, p, p), *([(p, p)] * rest if alone else [])]
+            one = [bool(symmetric._positive_definite(x)) for x in h[keep]]
+            assert stacked.tolist() == one == (category[keep] == 0).tolist()
+
+    def test_outer_sphere_is_decided_without_factoring_a_matrix_alone(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        assert sandwich_check_type_i(2, 3, samples=1000, seed=3)
+        # the inner stack, then the outer stack, which raises: every outer draw has
+        # a row of norm > 1, so a diagonal entry < 0, and nothing is left to factor
+        assert shapes == [(1000, 2, 2), (1000, 2, 2)]
+
+
 class TestUniformBallPoints:
     @pytest.mark.parametrize(
         "dimension, count",
