@@ -91,6 +91,11 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _is_radius(x) -> bool:
+    """A real number (Python's or numpy's) in (0, inf); NaN is not."""
+    return isinstance(x, (float, int, np.floating, np.integer)) and 0.0 < x < np.inf
+
+
 def _disc_points(what, *points):
     """The points as complex arrays; raises unless every |z| < 1 (NaN fails)."""
     arrays = [np.asarray(z, dtype=complex) for z in points]

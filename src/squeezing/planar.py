@@ -50,8 +50,9 @@ class Annulus:
             raise DomainValidationError("annulus inner radius must lie in (0, 1)")
 
     def point(self, z) -> complex:
-        """``z`` as a complex number; raises PointOutsideAnnulus unless r < |z| < 1."""
-        point = complex(z)
+        """``z`` as one complex number (``_plane_point``); raises
+        PointOutsideAnnulus unless r < |z| < 1, so None (read as NaN) too."""
+        point = _plane_point(z)
         if not self.r < abs(point) < 1.0:  # also rejects nan
             raise PointOutsideAnnulus(f"|z| = {abs(point)} is not in ({self.r}, 1)")
         return point
@@ -296,6 +297,15 @@ def _plane_points(z):
     return complex(points) if points.ndim == 0 else points
 
 
+def _plane_point(z) -> complex:
+    """One point as a complex number: ShapeMismatch for an array, and
+    DomainValidationError for what is not a number; None reads as NaN."""
+    point = _plane_points(z)
+    if not isinstance(point, complex):
+        raise ShapeMismatch(f"the point must be a scalar, got shape {point.shape}")
+    return point
+
+
 def _modulus(z):
     """|z| of a complex number, or of each entry of a complex array, with the
     bits of Python's ``abs`` (the C library's hypot).  ``np.abs`` of a complex
@@ -314,9 +324,7 @@ def excised_domain_lower_bound(domain: ExcisedDomain, z) -> BoundCertificate:
     The region is ``domain.collar(z)``.  ``z`` is one point: an array raises
     ShapeMismatch, and a point outside the domain PointNotInDomain.
     """
-    point = _plane_points(z)
-    if not isinstance(point, complex):
-        raise ShapeMismatch(f"the point must be a scalar, got shape {point.shape}")
+    point = _plane_point(z)
     if not domain.contains(point):
         raise PointNotInDomain(f"z = {point} is not in the excised domain")
     index = domain.collar(point)

@@ -27,7 +27,8 @@ coefficients (see ``injectivity_certificate``).  The curves' separation
 is decided from the coefficients in O(m) when one term, c_1 z or c_-1 / z,
 dominates (``_curves_apart_by_coefficients``); otherwise the segment-pair
 walk tests only the pairs whose tube-widened boxes overlap, each listed
-once (``_curves_apart``), at a cost set by the sample count.  One sampler,
+once, in one loop over offsets in the boxes' x order (``_curves_apart``),
+in memory linear in the sample count.  One sampler,
 ``annulus_basis``, builds the power table of both boundary circles, here and
 in ``search``, one complex product per power (``laurent_basis``).  Any
 other map is inconclusive.
@@ -44,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainValidationError, EmptyList, GuardViolation, NonIntegerResidual
-from .hyperbolic import _disc_parameter, _is_integer
+from .hyperbolic import _disc_parameter, _is_integer, _is_radius
 from .planar import Annulus
 
 #: Minimum allowed |f| at the contour samples before ``zero_count_detailed`` trusts a count.
@@ -60,14 +61,6 @@ MAX_SAMPLES = 2 ** 16
 _STABLE_TOL = 1e-10
 _DOMINANCE_SAFETY = 1.05
 
-#: Segment pairs the boundary certificate builds and measures at once, unless
-#: one segment alone overlaps more on x.
-_PAIR_CHUNK = 2 ** 14
-
-#: Offsets in x order that the boundary certificate tests over all segment
-#: boxes at once; a box that overlaps more boxes on x goes on in blocks.
-_OFFSETS = 6
-
 
 @dataclass(frozen=True)
 class CircleContour:
@@ -81,8 +74,8 @@ class CircleContour:
     def __post_init__(self):
         if not (isinstance(self.center, (complex, float, int, np.number)) and np.isfinite(self.center)):
             raise DomainValidationError("contour centre must be a finite number")
-        if not self.radius > 0.0:  # also rejects nan
-            raise DomainValidationError("contour radius must be positive")
+        if not _is_radius(self.radius):
+            raise DomainValidationError("contour radius must be positive and finite")
         if self.orientation not in (1, -1):
             raise DomainValidationError("orientation must be +1 or -1")
         n = self.samples
@@ -407,20 +400,16 @@ def _curves_apart(nodes, tubes) -> bool:
     |T| <= sum |c_k| rho^k, far inside the rounding allowance that each tube
     already carries.
 
-    The boxes are sorted once by their low x side.  In that order a box at
-    position i overlaps on x a later box at i + d exactly when
-    lx[i + d] <= hx[i] (the later box's low x side is at least lx[i]), and
-    since lx only grows, the boxes it overlaps on x are those at offsets
-    1..count[i], with no gap.  So every pair that overlaps on x is listed
-    exactly once: offsets 1.._OFFSETS are tested over the whole order at
-    once, each as two contiguous slices, and only the boxes that still
-    overlap on x at offset _OFFSETS go on to their offsets
-    _OFFSETS + 1..count[i], in blocks of at most _PAIR_CHUNK pairs (or of one
-    box's pairs), so memory stays O(nodes).  Each listed pair apart on y is
-    dropped, and so is each pair of curve neighbours: ``successor`` holds the
-    position of the next segment on the same curve, and two segments are
-    neighbours when either one is the other's successor.  The rest are
-    measured; the walk stops at the first offset or block with a pair too
+    The boxes are sorted once by their low x side, lx.  Since lx only grows
+    in that order, the box at position a overlaps on x the later boxes at
+    offsets 1..count[a] and no others, where count[a] counts the later boxes
+    with lx <= hx[a].  So the walk runs over the offsets d = 1, 2, ... with a
+    shrinking set of active boxes, those with count >= d: it pairs each with
+    the box d after it, drops the pairs apart on y and the pairs of curve
+    neighbours (``successor`` holds the position of the next segment on the
+    same curve), and measures the rest.  Every pair that overlaps on x is
+    listed exactly once, one offset holds at most one pair per box, so memory
+    stays O(nodes), and the walk stops at the first offset with a pair too
     close.
     """
     segments = _segments(nodes)
@@ -437,44 +426,21 @@ def _curves_apart(nodes, tubes) -> bool:
     segment = np.argsort(boxes[0], kind="stable")
     lx, hx, ly, hy = (side[segment] for side in boxes)
     del boxes
-    size = len(segment)
-    position = np.arange(size)
+    position = np.arange(len(segment))
     rank = np.empty_like(position)
     rank[segment] = position
     # successor[i]: the position of the segment after segment[i] on its curve
     successor = rank[np.roll(position.reshape(rows, n), -1, axis=1).ravel()[segment]]
-
-    def apart(a, b, near):
-        """Whether the pairs (a, b) of sorted positions (slices or arrays)
-        that ``near`` marks, and that are neither apart on y nor neighbours,
-        are farther apart than their tubes."""
-        near &= ~((hy[a] < ly[b]) | (hy[b] < ly[a]))
-        near &= (successor[a] != position[b]) & (successor[b] != position[a])
-        p, q = segment[a][near], segment[b][near]
-        return not len(p) or np.all(_segment_distances(start[p], end[p], start[q], end[q]) > tube[p] + tube[q])
-
-    for d in range(1, min(_OFFSETS, size - 1) + 1):
-        a, b = slice(0, size - d), slice(d, size)
-        if not apart(a, b, lx[b] <= hx[a]):
-            return False
-    # the boxes that overlap on x the box _OFFSETS after them; the count[i]
-    # pairs of busy[i] are its offsets _OFFSETS + 1.. in order, pair g of
-    # the walk belongs to busy[i] with ends[i - 1] <= g < ends[i], and its
-    # later box is g + shift[i]
-    busy = np.flatnonzero(lx[_OFFSETS:] <= hx[: max(size - _OFFSETS, 0)])
-    first = busy + _OFFSETS + 1
-    count = np.searchsorted(lx, hx[busy], side="right") - first
-    ends = np.cumsum(count)
-    shift = first - (ends - count)
-    box = done = 0
-    while box < len(busy):
-        # the pairs of busy[box:stop]: at most _PAIR_CHUNK, or one box's
-        stop = max(box + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
-        k = np.repeat(np.arange(box, stop), count[box:stop])
-        b = np.arange(done, ends[stop - 1]) + shift[k]
-        box, done = stop, ends[stop - 1]
-        if not apart(busy[k], b, np.ones(len(b), dtype=bool)):
-            return False
+    count = np.searchsorted(lx, hx, side="right") - position - 1
+    active = position
+    for d in range(1, count.max() + 1):
+        a = active = active[count[active] >= d]
+        b = a + d
+        near = ~((hy[a] < ly[b]) | (hy[b] < ly[a])) & (successor[a] != b) & (successor[b] != a)
+        if near.any():  # far offsets rarely leave a pair to measure
+            p, q = segment[a[near]], segment[b[near]]
+            if not np.all(_segment_distances(start[p], end[p], start[q], end[q]) > tube[p] + tube[q]):
+                return False
     return True
 
 
@@ -770,8 +736,8 @@ def injectivity_certificate(
         radii about c_0 do not overlap (``_curves_apart_by_coefficients``
         proves that this implies the walk's predicate, so the outcome is
         the walk's).  Otherwise the segment-pair walk measures the pairs
-        whose tube-widened boxes overlap, in O(samples) memory
-        (``_curves_apart``).
+        whose tube-widened boxes overlap, offset by offset in the boxes' x
+        order, in O(samples) memory (``_curves_apart``).
     A crossing found this way is only ever inconclusive, never a refutation.
 
     Why (a) and (b) prove injectivity: f - w has wind(T_1, w) - wind(T_r, w)

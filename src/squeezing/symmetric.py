@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificates import BoundCertificate
 from .errors import DomainValidationError, EmptyList, PunctureEvaluation, ShapeMismatch
-from .hyperbolic import _ball_point, _dot, _inner, _is_integer
+from .hyperbolic import _ball_point, _dot, _inner, _is_integer, _is_radius
 
 
 class _Kind(NamedTuple):
@@ -285,14 +285,16 @@ def uniform_ball_points(rng: np.random.Generator, dimension: int, count: int, ra
     """``count`` uniform samples from the complex ``dimension``-ball of the given
     radius, as a complex array of shape (count, dimension).
 
-    A ``dimension`` that is not an integer of at least 1, or a ``count`` that is
-    not an integer of at least 0 (a bool is neither), raises
-    DomainValidationError.
+    A ``dimension`` that is not an integer of at least 1, a ``count`` that is
+    not an integer of at least 0 (a bool is neither), or a ``radius`` that is
+    not a number in (0, inf) (NaN is not) raises DomainValidationError.
     """
     if not _is_integer(dimension) or dimension < 1:
         raise DomainValidationError(f"dimension must be a positive integer, got {dimension!r}")
     if not _is_integer(count) or count < 0:
         raise DomainValidationError(f"count must be a non-negative integer, got {count!r}")
+    if not _is_radius(radius):
+        raise DomainValidationError(f"radius must be positive and finite, got {radius!r}")
     g = rng.standard_normal((count, dimension)) + 1j * rng.standard_normal((count, dimension))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     u = rng.random(count) ** (1.0 / (2 * dimension))

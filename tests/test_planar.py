@@ -131,17 +131,24 @@ class TestConjecturedValue:
 
 
 # a point in the hole raised BoundaryPoint or asked to be folded, fold(0.1)
-# returned 2.5 and the boundary distance of 2.0 read -1
-@pytest.mark.parametrize("z", [0.1, -0.2, 2.0, 0.25])
+# returned 2.5 and the boundary distance of 2.0 read -1; None and an array
+# raised a raw TypeError, and text that is not a number a raw ValueError
+@pytest.mark.parametrize("z, error", [
+    *(pytest.param(z, PointOutsideAnnulus, id=str(z)) for z in (0.1, -0.2, 2.0, 0.25, None)),  # None reads as NaN
+    pytest.param(np.array([0.5, 0.6]), ShapeMismatch, id="array"),
+    pytest.param("abc", DomainValidationError, id="abc"),
+])
 @pytest.mark.parametrize("call", [
     lambda z: annulus_conjectured_value(QUARTER, z),
     lambda z: caratheodory_lower_estimate(z, 0.5, QUARTER),
     QUARTER.fold,
     QUARTER.boundary_distance,
     lambda z: boundary_distance(z, QUARTER),
-], ids=["conjectured_value", "caratheodory", "fold", "Annulus.boundary_distance", "boundary_distance"])
-def test_point_off_the_annulus_refused(call, z):
-    with pytest.raises(PointOutsideAnnulus):
+    lambda z: annulus_lower_bound(QUARTER, z),
+], ids=["conjectured_value", "caratheodory", "fold", "Annulus.boundary_distance", "boundary_distance",
+        "lower_bound"])
+def test_point_off_the_annulus_refused(call, z, error):
+    with pytest.raises(error):
         call(z)
 
 

@@ -108,6 +108,13 @@ class TestContourValidation:
         with pytest.raises(DomainValidationError):
             CircleContour(radius=float("nan"))
 
+    # inf was accepted, and counting on it warned of invalid products; None
+    # and text raised a raw TypeError
+    @pytest.mark.parametrize("radius", [float("inf"), None, "1"])
+    def test_radius_must_be_a_finite_number(self, radius):
+        with pytest.raises(DomainValidationError, match="contour radius must be positive and finite"):
+            CircleContour(radius=radius)
+
     def test_orientation(self):
         with pytest.raises(DomainValidationError):
             CircleContour(orientation=2)
@@ -460,17 +467,8 @@ def joukowski(lam):
 
 
 def brute_force_apart(nodes, tubes):
-    """Reference for _curves_apart: every segment pair, no box filter.  The
-    walk's tests rerun the same draws under several settings of the walk, so
-    each draw's outcome is computed once and kept by the draw's bytes."""
+    """Reference for _curves_apart: every segment pair, no box filter."""
     nodes, tubes = np.asarray(nodes, dtype=complex), np.asarray(tubes, dtype=float)
-    return _brute_force_apart(nodes.shape, nodes.tobytes(), tubes.tobytes())
-
-
-@functools.lru_cache(maxsize=None)
-def _brute_force_apart(shape, node_bytes, tube_bytes):
-    nodes = np.frombuffer(node_bytes, dtype=complex).reshape(shape)
-    tubes = np.frombuffer(tube_bytes, dtype=float)
     rows, n = nodes.shape
     start = nodes.ravel()
     end = np.roll(nodes, -1, axis=1).ravel()
@@ -490,6 +488,26 @@ def square(up):
     another lie on one vertical side, where every box has the same low x side."""
     levels = np.concatenate([[0.0], 0.25 + 0.5 * np.arange(up + 1) / up])
     return np.concatenate([1 + 1j * levels, [1 + 1j, 0.5 + 1j], 1j * (1 - levels), [0, 0.5]])
+
+
+def rectangle(half_width, half_height, n):
+    """n nodes evenly spaced along the boundary of the rectangle
+    [-half_width, half_width] x [-half_height, half_height], counterclockwise
+    from its lower right corner."""
+    corners = half_width * np.array([1, 1, -1, -1, 1]) + 1j * half_height * np.array([-1, 1, 1, -1, -1])
+    arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(corners)))])
+    s = arc[-1] * np.arange(n) / n
+    return np.interp(s, arc, corners.real) + 1j * np.interp(s, arc, corners.imag)
+
+
+def x_overlaps(nodes, tubes):
+    """For each tube-widened segment box, in the order of their low x sides,
+    the number of later boxes that overlap it on x."""
+    start, end = nodes.ravel(), np.roll(nodes, -1, axis=1).ravel()
+    tube = np.repeat(tubes, nodes.shape[1])
+    low, high = np.minimum(start.real, end.real) - tube, np.maximum(start.real, end.real) + tube
+    order = np.argsort(low, kind="stable")
+    return np.searchsorted(low[order], high[order], side="right") - np.arange(len(order)) - 1
 
 
 class TestBoundaryCertificate:
@@ -685,7 +703,7 @@ class TestBoundaryCertificate:
         cert = injectivity_certificate(laurent_map(coefficients), 0.81, samples=samples)
         assert (cert.status, cert.reason) == expected
 
-    def test_hash_matches_brute_force(self):
+    def test_walk_matches_brute_force(self):
         rng = np.random.default_rng(5)
         outcomes = []
         for _ in range(300):
@@ -700,7 +718,7 @@ class TestBoundaryCertificate:
             outcomes.append(expected)
         assert 0.2 < np.mean(outcomes) < 0.8
 
-    def test_hash_matches_brute_force_at_certificate_scales(self):
+    def test_walk_matches_brute_force_at_certificate_scales(self):
         # the certificate's own scales: 64-256 nodes per curve, tubes of
         # 1e-9..1e-5, and an inner node pulled out along the normal of an
         # outer segment to 0..3 times the tube sum from it, so that the
@@ -732,18 +750,9 @@ class TestBoundaryCertificate:
         assert not outcomes[0] and not outcomes[1]
         assert 0.3 < np.mean(outcomes) < 0.8
 
-    @pytest.mark.parametrize("chunk", [1, 3, 17])
-    def test_sweep_blocks_match_brute_force(self, monkeypatch, chunk):
-        # blocks that end inside a box's run of pairs, or hold a single box
-        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
-        self.test_hash_matches_brute_force()
-        self.test_hash_matches_brute_force_at_certificate_scales()
-
-    @pytest.mark.parametrize("chunk", [1, 3, 17, rouche._PAIR_CHUNK])
-    def test_sweep_matches_brute_force_on_tied_boxes(self, monkeypatch, chunk):
+    def test_walk_matches_brute_force_on_tied_boxes(self):
         # a short vertical segment and the next but one are 1 / (2 up) apart,
         # 0.6..1.4 times their tube sum; no other pair comes as close
-        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(8)
         outcomes = []
         for _ in range(100):
@@ -755,16 +764,43 @@ class TestBoundaryCertificate:
             outcomes.append(expected)
         assert 0.3 < np.mean(outcomes) < 0.9
 
-    # _OFFSETS = 1 or 2 sends most pairs through the blocks; 10**6 lists every
-    # pair from the slices, as no box overlaps that many boxes on x
-    @pytest.mark.parametrize("chunk", [1, 17])
-    @pytest.mark.parametrize("offsets", [1, 2, 10 ** 6])
-    def test_slices_and_blocks_match_brute_force(self, monkeypatch, offsets, chunk):
-        monkeypatch.setattr(rouche, "_OFFSETS", offsets)
-        monkeypatch.setattr(rouche, "_PAIR_CHUNK", chunk)
-        self.test_hash_matches_brute_force()
-        self.test_hash_matches_brute_force_at_certificate_scales()
-        self.test_sweep_matches_brute_force_on_tied_boxes(monkeypatch, chunk)
+    def test_walk_matches_brute_force_on_thin_curves(self):
+        # two nested, tall and thin parallelograms: a box on a long side
+        # overlaps on x many later boxes of that side (and of the other
+        # curve's side next to it, when the gap is small), but on y only its
+        # neighbours, so the walk runs through many offsets; the sides lie
+        # 0.3..3 tube sums apart
+        rng = np.random.default_rng(9)
+        outcomes = []
+        for _ in range(60):
+            n = int(rng.choice([32, 64, 128]))
+            tube = rng.uniform(0.05, 0.3) * 4.2 / n  # a fraction of a segment
+            gap = rng.uniform(0.3, 3.0) * 2 * tube
+            nodes = np.stack([rectangle(0.05, 1.0, n), rectangle(0.05 - gap, 0.9, n)])
+            nodes += 1e-3 * nodes.imag + 0.1 * tube * rng.uniform(-1.0, 1.0, nodes.shape)
+            tubes = np.full(2, tube)
+            assert x_overlaps(nodes, tubes).max() >= n // 4
+            expected = brute_force_apart(nodes, tubes)
+            assert _curves_apart(nodes, tubes) == expected
+            outcomes.append(expected)
+        assert 0.2 < np.mean(outcomes) < 0.8
+
+    def test_walk_memory_is_linear_in_the_nodes(self):
+        # 2 x 16,384 nodes whose boxes overlap 2.7 million pairs on x; listed
+        # at once, their index pairs alone would take 43 MB
+        n = 2 ** 14
+        nodes = np.stack([rectangle(0.05, 1.0, n), rectangle(0.025, 0.9, n)])
+        nodes += 1e-3 * nodes.imag
+        tubes = np.full(2, 1e-5)
+        assert x_overlaps(nodes, tubes).sum() > 2 * 10 ** 6
+        tracemalloc.start()
+        try:
+            apart = _curves_apart(nodes, tubes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert apart
+        assert peak < 256 * nodes.size, peak
 
     def test_segment_distances_match_dense_sampling(self):
         rng = np.random.default_rng(6)

@@ -365,6 +365,13 @@ class TestUniformBallPoints:
         with pytest.raises(DomainValidationError):
             uniform_ball_points(np.random.default_rng(0), dimension, count)
 
+    # a NaN radius gave NaN points, an infinite one warned of invalid
+    # products, and None or text raised a raw TypeError
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, None, "1"])
+    def test_bad_radius_refused(self, radius):
+        with pytest.raises(DomainValidationError, match="radius must be positive and finite"):
+            uniform_ball_points(np.random.default_rng(0), 2, 2, radius)
+
     def test_shape_and_radius(self):
         rng = np.random.default_rng(1)
         assert uniform_ball_points(rng, 3, 0).shape == (0, 3)
