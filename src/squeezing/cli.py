@@ -118,6 +118,13 @@ def _parse_positive_int(text: str, token: str) -> int:
     return value
 
 
+def _parse_annulus(r: float) -> Annulus:
+    try:
+        return Annulus(r)
+    except DomainValidationError as exc:
+        raise CLIError(f"--annulus {r!r}: {exc}")
+
+
 def _parse_classical(token: str) -> ClassicalDomain:
     try:
         return ClassicalDomain.parse(token)
@@ -217,7 +224,7 @@ def cmd_bound(args) -> int:
     if args.annulus is not None:
         if args.rho is None:
             raise CLIError("--annulus requires --rho")
-        annulus = Annulus(args.annulus)
+        annulus = _parse_annulus(args.annulus)
         certificate = annulus_lower_bound(annulus, args.rho)
         domain, point = f"annulus:{_format_float(annulus.r)}", [args.rho, 0.0]
         if args.caratheodory:
@@ -268,7 +275,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_search(args) -> int:
-    annulus = Annulus(args.annulus)
+    annulus = _parse_annulus(args.annulus)
     result = tier_b_search(annulus, args.rho, degree=args.degree, budget=args.budget, seed=args.seed)
     candidate = result.best_candidate
     certificate = candidate.certificate  # None for the Mobius families
@@ -300,8 +307,13 @@ def cmd_search(args) -> int:
 def cmd_table(args) -> int:
     if args.samples < 2:
         raise CLIError("--samples must be at least 2")
-    annulus = Annulus(args.annulus)
-    rhos = np.linspace(math.sqrt(annulus.r), 1.0 - 1e-6, args.samples)
+    annulus = _parse_annulus(args.annulus)
+    if math.sqrt(annulus.r) >= 1.0 - 1e-6:  # the grid [sqrt(r), 1 - 1e-6] would run backwards
+        raise CLIError(f"--annulus {args.annulus!r} is too close to 1: the table runs from sqrt(r) up to 1 - 1e-6")
+    try:
+        rhos = np.linspace(math.sqrt(annulus.r), 1.0 - 1e-6, args.samples)
+    except (ValueError, MemoryError):  # numpy refuses the size, or cannot allocate it
+        raise CLIError(f"--samples {args.samples} is too many rows to allocate")
     rows = [
         {"rho": rho, "lower_bound": annulus_lower_bound(annulus, rho).value,
          "conjecture": annulus_conjectured_value(annulus, rho).value}

@@ -454,6 +454,13 @@ _ROUNDING = 1e-12
 _SERIAL_ENTRIES = 4096
 
 
+def _blocks(n: int, k: int) -> tuple[int, int]:
+    """Rows per full block of ``_table_product`` on an (n, k) table, and the
+    first row of its last block: the remainder, which it multiplies alone."""
+    rows = 4 * max(1, (_SERIAL_ENTRIES - 1) // (4 * k))
+    return rows, n - n % rows
+
+
 def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``table @ vector`` for an (N, K) power table, written into ``out`` (a
     new array when None) and returned, in blocks of rows that each hold
@@ -471,8 +478,7 @@ def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None
     gives it.
     """
     n, k = table.shape
-    rows = 4 * max(1, (_SERIAL_ENTRIES - 1) // (4 * k))
-    whole = n - n % rows
+    rows, whole = _blocks(n, k)
     if out is None:
         out = np.empty(n, dtype=np.result_type(table, vector))
     np.matmul(table[:whole].reshape(-1, rows, k), vector, out=out[:whole].reshape(-1, rows))

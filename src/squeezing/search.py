@@ -55,7 +55,8 @@ from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
 from .hyperbolic import _is_integer
 from .planar import Annulus, annulus_lower_bound
 from .rouche import (
-    InjectivityCertificate, _table_product, annulus_basis, injectivity_certificate, laurent_map
+    InjectivityCertificate, _blocks, _table_product, annulus_basis, injectivity_certificate, laurent_basis,
+    laurent_map,
 )
 
 #: Default ``samples`` of ``objective`` and of a search: the objective, the
@@ -140,12 +141,10 @@ def _scratch(n: int):
     return np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.empty(n)
 
 
-def _objective_value(values: np.ndarray, scratch) -> float:
-    """Minimum pseudo-hyperbolic distance from f(p), the last entry of a
-    boundary evaluation, to the boundary samples before it; ``scratch`` is
-    ``_scratch(len(values) - 1)``, overwritten."""
+def _objective_value(w: np.ndarray, wp, scratch) -> float:
+    """Minimum pseudo-hyperbolic distance from f(p) = ``wp`` to the boundary
+    samples ``w``; ``scratch`` is ``_scratch(len(w))``, overwritten."""
     numerator, denominator, modulus = scratch
-    w, wp = values[:-1], values[-1]
     # |wp - w|^2 - |1 - conj(w) wp|^2 = (1 - |wp|^2)(|w|^2 - 1), so a sample
     # on or beyond the unit circle lies at pseudo-distance >= 1 and never wins
     np.subtract(wp, w, out=numerator)
@@ -161,26 +160,47 @@ def _check_samples(samples) -> None:
         raise DomainValidationError(f"samples must be an integer >= 64, got {samples!r}")
 
 
-def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES) -> float:
+def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int = DEFAULT_SAMPLES):
     """Lower bound realised by a certified candidate at p.
 
     The minimum pseudo-hyperbolic distance from f(p) to the images of both
     boundary circles, sampled at 2 * samples nodes each: a search with the
-    same ``samples`` reports this value for its Laurent winner.  Raises
-    NotCertified for candidates without a passing certificate and
-    ImageEscapesDisc when the boundary image leaves the closed unit disc
-    beyond tolerance.
+    same ``samples`` reports this value for its Laurent winner.  ``p`` is one
+    point, which gives a float, or a stack of points of any shape, which
+    gives an array of that shape, each entry with the bits of the one-point
+    call.  Raises NotCertified for candidates without a passing certificate,
+    PointOutsideAnnulus when any point is outside the annulus, and
+    ImageEscapesDisc when the boundary image or any f(p) leaves the closed
+    unit disc beyond tolerance.
+
+    One power table serves every point: the boundary nodes, then one slot.
+    The boundary image and its escape test are computed once; each point is
+    written into the slot, and f(p) is the slot's entry of the table
+    product's last block, which is the very product that the one-point
+    table's last block is, so f(p) keeps the one-point bits.
     """
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
-    point = annulus.point(p)
+    points = annulus.point(p, stacked=True)
     _check_samples(samples)
-    basis = annulus_basis(annulus.r, 2 * samples, len(candidate.coefficients) // 2, point)
-    values = _table_product(basis, candidate.coefficients)
-    escape = max(np.abs(values[:-1]).max() - 1.0, abs(values[-1]) - (1.0 - 1e-15))
+    c = candidate.coefficients
+    degree = len(c) // 2
+    table = annulus_basis(annulus.r, 2 * samples, degree, 1.0)  # the slot holds 1 until a point comes
+    values = _table_product(table, c)
+    _, last = _blocks(*table.shape)
+    images = []
+    for z in np.ravel(points):
+        table[-1] = laurent_basis(z, degree)
+        np.matmul(table[last:], c, out=values[last:])
+        images.append(values[-1])
+    boundary = values[:-1]
+    reach = max(map(abs, images), default=-np.inf)
+    escape = max(np.abs(boundary).max() - 1.0, reach - (1.0 - 1e-15))
     if escape >= _ESCAPE_SLACK:
         raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
-    return _objective_value(values, _scratch(len(values) - 1))
+    scratch = _scratch(len(boundary))
+    bounds = np.array([_objective_value(boundary, wp, scratch) for wp in images])
+    return float(bounds[0]) if isinstance(points, complex) else bounds.reshape(np.shape(points))
 
 
 def tier_a_bound(annulus: Annulus, p) -> SearchResult:
@@ -315,14 +335,15 @@ def tier_b_search(
             return -1.0
         scale = (1.0 - 1e-12) / (peak * inflation)
         np.multiply(values, scale, out=values)
-        value = _objective_value(values, scratch)
+        value = _objective_value(values[:-1], values[-1], scratch)
         if value > max(incumbent_value, rejected_above) + CERTIFY_MARGIN:
             coefficients = c * scale
             certificate = injectivity_certificate(laurent_map(coefficients), annulus, samples=samples)
             attempts[certificate.status] += 1
             if certificate.status == "certified":
                 incumbent = EmbeddingCandidate.laurent(coefficients, certificate)
-                incumbent_value = _objective_value(_table_product(ring, coefficients, values), scratch)
+                _table_product(ring, coefficients, values)
+                incumbent_value = _objective_value(values[:-1], values[-1], scratch)
             else:
                 rejected_above = value
         return value

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squeezing import Annulus, EmbeddingCandidate, InjectivityCertificate, checks, objective
@@ -588,7 +588,18 @@ _SEARCH = st.tuples(
     st.one_of(st.integers(1, 10), st.integers(1, 10), st.integers(-1, 0)).map(lambda b: ["--budget", str(b)]),
     _option("--seed", st.sampled_from(["0", "7", "-1", "x"])),
 )
-_ARGV = st.one_of(_EXACT, _BOUND, _BALL, _SEARCH).map(_flatten)
+# table sample counts stay small, apart from one that no machine can allocate
+_TABLE = st.tuples(
+    st.just(["table"]),
+    _option("--annulus", st.one_of(
+        st.floats(0.05, 0.9).map(repr), st.sampled_from(["1e-300", "1e-12", "0.999999"]), _NUMBERS,
+    )),
+    _option("--samples", st.one_of(
+        st.integers(2, 20).map(str), st.sampled_from(["0", "1", "-1", "1.5", "x", "10000000000000000000"]),
+    )),
+    _option("--out", st.sampled_from(["csv", "json"]), 1),
+)
+_ARGV = st.one_of(_EXACT, _BOUND, _BALL, _SEARCH, _TABLE).map(_flatten)
 
 # options each bound mode reads besides its own flag
 _BOUND_READS = {
@@ -615,6 +626,8 @@ def _unread_option(argv):
 
 @settings(max_examples=120, deadline=None)
 @given(argv=_ARGV)
+@example(argv=["table", "--annulus", "0.999999", "--samples", "5"])
+@example(argv=["table", "--annulus", "0.25", "--samples", "10000000000000000000"])
 def test_cli_input_contract(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -633,11 +646,12 @@ def test_cli_input_contract(argv):
     if code == 0:
         lines = stdout.getvalue().splitlines()
         assert lines
-        if "csv" not in argv:
-            record = json.loads(lines[0])
-            assert isinstance(record, dict)
+        if "csv" in argv or (argv[0] == "table" and "json" not in argv):  # a table defaults to CSV
+            header, *rows = csv.reader(lines)
+            assert rows and all(len(row) == len(header) for row in rows)
         else:
-            header, row = csv.reader(lines)
-            assert len(header) == len(row)
+            assert all(isinstance(json.loads(line), dict) for line in lines)
     else:
         assert stderr.getvalue().strip()
+        if argv[0] == "table":
+            assert any(flag in stderr.getvalue() for flag in ("--annulus", "--samples", "--out")), argv

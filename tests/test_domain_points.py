@@ -72,6 +72,10 @@ CALLS = {
     "tier_a_bound": (lambda x: tier_a_bound(QUARTER, x), PointOutsideAnnulus),
     "tier_b_search": (lambda x: tier_b_search(QUARTER, x, degree=1, budget=10), PointOutsideAnnulus),
     "objective": (lambda x: objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, x), PointOutsideAnnulus),
+    "objective[stack]": (
+        lambda x: objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, np.array([[0.5, 0.6j], [x, -0.7]])),
+        PointOutsideAnnulus,
+    ),
     "Annulus[r]": (Annulus, DomainValidationError),
     "unit_annulus_contours[r]": (unit_annulus_contours, DomainValidationError),
     "injectivity_certificate[r]": (

@@ -82,6 +82,102 @@ class TestObjective:
         assert value == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.fixture(scope="module")
+def winners():
+    """Certified Laurent winners of degrees 1-3, keyed by degree, with their annuli."""
+    found = {}
+    for r, rho, degree, budget, seed in [(0.25, 0.5, 1, 200, 1), (0.5, 0.75, 2, 300, 0), (0.25, 0.7, 3, 300, 1)]:
+        result = tier_b_search(Annulus(r), rho, degree=degree, budget=budget, seed=seed, samples=256)
+        assert result.best_candidate.family == "laurent" and result.best_candidate.status == "certified"
+        found[degree] = Annulus(r), result.best_candidate
+    return found
+
+
+def _annulus_points(annulus, shape, seed):
+    """Seeded points of the annulus: the first few on the positive real axis."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    rho = annulus.r + (1.0 - annulus.r) * rng.uniform(0.02, 0.98, size)
+    points = rho * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    points[: size // 3] = rho[: size // 3]
+    return points.reshape(shape)
+
+
+class TestStackedObjective:
+    """``objective`` on a stack of points gives, entry by entry, the bits of
+    the one-point call, and refuses the stack where any one-point call refuses."""
+
+    @pytest.mark.parametrize("samples", [64, 1024, 2048])
+    @pytest.mark.parametrize("family", ["mobius-inclusion", "mobius-reflection", 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_entries_have_the_one_point_bits(self, winners, family, samples, shape):
+        if family == "mobius-inclusion":
+            annulus, candidate = QUARTER, EmbeddingCandidate.mobius_inclusion()
+        elif family == "mobius-reflection":
+            annulus, candidate = QUARTER, EmbeddingCandidate.mobius_reflection(QUARTER.r)
+        else:
+            annulus, candidate = winners[family]
+        points = _annulus_points(annulus, shape, seed=samples + len(shape))
+        stacked = objective(candidate, annulus, points, samples=samples)
+        # each one-point call takes a Python number: a float on the real axis
+        one = [objective(candidate, annulus, z.real if z.imag == 0 else complex(z), samples=samples)
+               for z in points.reshape(-1)]
+        assert all(type(value) is float for value in one)
+        if shape == ():
+            assert type(stacked) is float and stacked == one[0]
+        else:
+            assert stacked.shape == shape and stacked.dtype == float
+            assert np.array_equal(stacked.reshape(-1), one)
+
+    def test_one_point_forms_agree(self):
+        candidate = EmbeddingCandidate.mobius_inclusion()
+        value = objective(candidate, QUARTER, 0.5 + 0.1j)
+        for p in (np.complex128(0.5 + 0.1j), np.array(0.5 + 0.1j), np.array([0.5 + 0.1j])):
+            again = objective(candidate, QUARTER, p)
+            assert np.array_equal(again, value if np.ndim(p) == 0 else [value])
+        assert objective(candidate, QUARTER, np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 5e-13, 1.0 + 2e-12, 1.2])
+    def test_escape_test_as_in_one_point_calls(self, scale):
+        # the inclusion's boundary image reaches |scale|: the test's slack is 1e-12
+        stamped = InjectivityCertificate(status="certified", min_boundary_modulus=float("inf"))
+        candidate = EmbeddingCandidate.laurent(np.array([0, 0, scale], dtype=complex), stamped)
+        points = _annulus_points(QUARTER, (5,), seed=1)
+        outcomes = []
+        for z in points:
+            try:
+                outcomes.append(objective(candidate, QUARTER, complex(z), samples=64))
+            except ImageEscapesDisc:
+                outcomes.append(None)
+        if None in outcomes:
+            assert all(value is None for value in outcomes)
+            with pytest.raises(ImageEscapesDisc):
+                objective(candidate, QUARTER, points, samples=64)
+        else:
+            assert np.array_equal(objective(candidate, QUARTER, points, samples=64), outcomes)
+
+    # NaN, inf and the outer circle: tests/test_domain_points.py
+    @pytest.mark.parametrize("bad", [0.1, 0.25, 1.5j, complex(math.nan, 0.0)])
+    def test_one_bad_point_refuses_the_stack(self, bad):
+        points = _annulus_points(QUARTER, (2, 3), seed=2).astype(complex)
+        points[1, 1] = bad
+        with pytest.raises(PointOutsideAnnulus):
+            objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, points)
+        with pytest.raises(PointOutsideAnnulus):
+            QUARTER.point(points, stacked=True)
+
+    def test_one_power_table_per_call(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return annulus_basis(*args)
+
+        monkeypatch.setattr(search, "annulus_basis", counting)
+        values = objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, _annulus_points(QUARTER, (64,), 3))
+        assert values.shape == (64,) and len(built) == 1
+
+
 class TestTierA:
     def test_golden_value(self):
         result = tier_a_bound(QUARTER, 0.5)
