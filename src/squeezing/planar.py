@@ -49,22 +49,12 @@ class Annulus:
         if not 0.0 < self.r < 1.0:
             raise DomainValidationError("annulus inner radius must lie in (0, 1)")
 
-    def point(self, z, stacked=False):
+    def point(self, z) -> complex:
         """``z`` as one complex number (``_plane_point``); raises
-        PointOutsideAnnulus unless r < |z| < 1, so None (read as NaN) too.
-
-        With ``stacked`` a stack of points of any shape comes back as a complex
-        array (``_plane_points``; one point still as a complex number), and
-        every one of them must lie in the annulus.
-        """
-        point = _plane_points(z) if stacked else _plane_point(z)
-        if isinstance(point, complex):  # one point skips numpy
-            outside = () if self.r < abs(point) < 1.0 else (abs(point),)  # NaN is outside
-        else:
-            modulus = _modulus(point)
-            outside = modulus[~((self.r < modulus) & (modulus < 1.0))]
-        if len(outside):
-            raise PointOutsideAnnulus(f"|z| = {outside[0]} is not in ({self.r}, 1)")
+        PointOutsideAnnulus unless r < |z| < 1, so None (read as NaN) too."""
+        point = _plane_point(z)
+        if not self.r < abs(point) < 1.0:  # also rejects nan
+            raise PointOutsideAnnulus(f"|z| = {abs(point)} is not in ({self.r}, 1)")
         return point
 
     def boundary_distance(self, z) -> float:

@@ -482,6 +482,15 @@ def _table_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray | None
     if out is None:
         out = np.empty(n, dtype=np.result_type(table, vector))
     np.matmul(table[:whole].reshape(-1, rows, k), vector, out=out[:whole].reshape(-1, rows))
+    return _last_block_product(table, vector, out)
+
+
+def _last_block_product(table: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The last block of ``_table_product(table, vector, out)`` alone: the
+    rows after its whole blocks, multiplied as that product multiplies them,
+    so they get its bits.  A caller that changes only those rows of the
+    table re-runs this instead of the whole product.  Returns ``out``."""
+    _, whole = _blocks(*table.shape)
     np.matmul(table[whole:], vector, out=out[whole:])
     return out
 

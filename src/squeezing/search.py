@@ -53,10 +53,10 @@ import numpy as np
 
 from .errors import DomainValidationError, ImageEscapesDisc, NotCertified
 from .hyperbolic import _is_integer
-from .planar import Annulus, annulus_lower_bound
+from .planar import Annulus, _plane_points, annulus_lower_bound
 from .rouche import (
-    InjectivityCertificate, _blocks, _table_product, annulus_basis, injectivity_certificate, laurent_basis,
-    laurent_map,
+    InjectivityCertificate, _last_block_product, _table_product, annulus_basis, injectivity_certificate,
+    laurent_basis, laurent_map,
 )
 
 #: Default ``samples`` of ``objective`` and of a search: the objective, the
@@ -173,25 +173,29 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     ImageEscapesDisc when the boundary image or any f(p) leaves the closed
     unit disc beyond tolerance.
 
-    One power table serves every point: the boundary nodes, then one slot.
-    The boundary image and its escape test are computed once; each point is
-    written into the slot, and f(p) is the slot's entry of the table
-    product's last block, which is the very product that the one-point
-    table's last block is, so f(p) keeps the one-point bits.
+    One power table serves every point: the boundary nodes, then the first
+    point, which is the one-point call's table.  The boundary image and its
+    escape test are computed once; each further point is written into the
+    last row, and f(p) comes from re-running the table product's last block
+    alone, the very product that the one-point table's last block is, so
+    f(p) keeps the one-point bits.
     """
     if candidate.status != "certified":
         raise NotCertified(f"candidate status is {candidate.status!r}")
-    points = annulus.point(p, stacked=True)
+    points = _plane_points(p)
+    flat = (points,) if isinstance(points, complex) else points.ravel()
+    for z in flat:
+        annulus.point(z)
     _check_samples(samples)
     c = candidate.coefficients
     degree = len(c) // 2
-    table = annulus_basis(annulus.r, 2 * samples, degree, 1.0)  # the slot holds 1 until a point comes
+    table = annulus_basis(annulus.r, 2 * samples, degree, flat[0] if len(flat) else 1.0)
     values = _table_product(table, c)
-    _, last = _blocks(*table.shape)
     images = []
-    for z in np.ravel(points):
-        table[-1] = laurent_basis(z, degree)
-        np.matmul(table[last:], c, out=values[last:])
+    for z in flat:
+        if images:  # the first point is in the table already
+            table[-1] = laurent_basis(z, degree)
+            _last_block_product(table, c, values)
         images.append(values[-1])
     boundary = values[:-1]
     reach = max(map(abs, images), default=-np.inf)
@@ -199,8 +203,8 @@ def objective(candidate: EmbeddingCandidate, annulus: Annulus, p, samples: int =
     if escape >= _ESCAPE_SLACK:
         raise ImageEscapesDisc(f"boundary image modulus exceeds 1 by {escape:.3e}")
     scratch = _scratch(len(boundary))
-    bounds = np.array([_objective_value(boundary, wp, scratch) for wp in images])
-    return float(bounds[0]) if isinstance(points, complex) else bounds.reshape(np.shape(points))
+    bounds = [_objective_value(boundary, wp, scratch) for wp in images]
+    return bounds[0] if isinstance(points, complex) else np.reshape(bounds, points.shape)
 
 
 def tier_a_bound(annulus: Annulus, p) -> SearchResult:

@@ -647,10 +647,12 @@ def test_cli_input_contract(argv):
         lines = stdout.getvalue().splitlines()
         assert lines
         if "csv" in argv or (argv[0] == "table" and "json" not in argv):  # a table defaults to CSV
-            header, *rows = csv.reader(lines)
-            assert rows and all(len(row) == len(header) for row in rows)
+            header, *records = csv.reader(lines)
+            assert all(len(record) == len(header) for record in records)
         else:
-            assert all(isinstance(json.loads(line), dict) for line in lines)
+            records = [json.loads(line) for line in lines]
+            assert all(isinstance(record, dict) for record in records)
+        assert records and (argv[0] == "table" or len(records) == 1)  # only a table prints several rows
     else:
         assert stderr.getvalue().strip()
         if argv[0] == "table":

@@ -163,8 +163,6 @@ class TestStackedObjective:
         points[1, 1] = bad
         with pytest.raises(PointOutsideAnnulus):
             objective(EmbeddingCandidate.mobius_inclusion(), QUARTER, points)
-        with pytest.raises(PointOutsideAnnulus):
-            QUARTER.point(points, stacked=True)
 
     def test_one_power_table_per_call(self, monkeypatch):
         built = []
