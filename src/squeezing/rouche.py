@@ -169,7 +169,7 @@ def laurent_basis(z, degree: int) -> np.ndarray:
     for k in range(2, degree + 1):
         np.multiply(table[degree + k - 1, ...], z, out=table[degree + k, ...])
         np.multiply(table[degree - k + 1, ...], table[degree - 1, ...], out=table[degree - k, ...])
-    return np.moveaxis(table, 0, -1)
+    return table.transpose(*range(1, table.ndim), 0)  # np.moveaxis(table, 0, -1), without its checks
 
 
 def annulus_basis(inner_radius: float, samples: int, degree: int, *extra) -> np.ndarray:
@@ -625,13 +625,16 @@ def _boundary_certificate(c: np.ndarray, inner_radius: float, samples: int):
     def outcome(status, margin=np.inf, reason=None, tube=None, critical=None):
         return InjectivityCertificate(status, float(margin), reason, samples, tube, critical)
 
-    # z^{m+1} f'(z) = sum_k k c_k z^{k+m} shares the zeros of f' in the annulus.
-    # Its roots only locate them; a refutation needs a trusted winding count
-    # on a disc inside the annulus
-    roots = _roots(k * c)
+    # z^{m+1} f'(z) = sum_k k c_k z^{k+m} shares the zeros of f' in the annulus,
+    # and so does p, that sum divided by the power of z common to all its terms,
+    # which keeps every zero of p off 0 (a high power of z would swell the
+    # reach of the counts).  Its roots only locate them; a refutation needs a
+    # trusted winding count on a disc inside the annulus
+    p = np.trim_zeros(k * c, "f")
+    roots = _roots(p)
     inside = roots[(np.abs(roots) > inner_radius) & (np.abs(roots) < 1.0)]
     critical = len(inside)
-    if any(_disc_has_zero(k * c, a, 0.5 * min(abs(a) - inner_radius, 1.0 - abs(a))) for a in inside):
+    if any(_disc_has_zero(p, a, 0.5 * min(abs(a) - inner_radius, 1.0 - abs(a))) for a in inside):
         return outcome("refuted", critical=critical)
     if critical:
         return outcome("inconclusive", reason="critical points without a trusted count", critical=critical)

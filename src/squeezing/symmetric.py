@@ -1,7 +1,8 @@
 """The four classical matrix/vector domains: membership and exact constants.
 
 Types I-III are matrix domains defined by positive definiteness of
-I - Z Z^H (Z rectangular, symmetric or skew-symmetric); type IV is the Lie
+I - Z Z^H (Z rectangular, symmetric or skew-symmetric), which ``contains``
+decides by one LAPACK Cholesky call for a whole stack; type IV is the Lie
 ball in C^n cut out by 1 + |zz'|^2 - 2||z||^2 > 0 and |zz'| < 1, where
 zz' = sum z_j^2 is the non-conjugated quadratic form.  Their squeezing
 values are the exact constants r^{-1/2}, p^{-1/2}, floor(q/2)^{-1/2} and
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky  # np.linalg.cholesky without its raise
 
 from .certificates import BoundCertificate
 from .errors import DomainValidationError, EmptyList, PunctureEvaluation, ShapeMismatch
@@ -135,45 +137,18 @@ class ClassicalDomain:
         return _KINDS[self.kind].name + ":" + ",".join(map(str, self.params))
 
 
-def _positive_definite(hermitian: np.ndarray):
-    """LAPACK Cholesky factorisation of each matrix of a stack of shape
-    (..., p, p); it fails at the first pivot <= 0.  A bool per matrix.
-
-    numpy raises one LinAlgError when any matrix of a stack fails, so the
-    whole stack is factored once; a single matrix is factored once.  numpy's
-    factorisation of a NaN or infinite matrix does not fail, but its last
-    pivot is then NaN, so that pivot must be positive.
-
-    After that error, every matrix with a diagonal entry that is not > 0 is
-    outside without factoring.  A Hermitian matrix with h_jj <= 0 is not
-    positive definite, and LAPACK fails on it too: its pivot j is h_jj minus
-    computed squared moduli, each >= 0, and as rounding is monotone each
-    subtraction leaves a value <= h_jj <= 0.  A NaN h_jj gives a NaN pivot,
-    outside either way.  The other matrices are factored again as one stack,
-    and only if that raises too is each of them factored alone.  Exact
-    boundary ties are decided by rounding (see ``contains``).
-    """
-    try:
-        factor = np.linalg.cholesky(hermitian)
-    except np.linalg.LinAlgError:
-        if hermitian.ndim == 2:
-            return np.False_
-        matrices = hermitian.reshape(-1, *hermitian.shape[-2:])
-        inside = (np.diagonal(matrices, axis1=-2, axis2=-1).real > 0.0).all(axis=-1)
-        if inside.any():
-            try:
-                inside[inside] = np.linalg.cholesky(matrices[inside])[:, -1, -1].real > 0.0
-            except np.linalg.LinAlgError:
-                inside[inside] = [_positive_definite(h) for h in matrices[inside]]
-        return inside.reshape(hermitian.shape[:-2])
-    return factor[..., -1, -1][()].real > 0.0  # [()]: one matrix's pivot as a number, compared faster
-
-
 def contains(domain: ClassicalDomain, point):
     """Strict membership of ``point`` in the given classical domain; exact
     boundary ties of types I-III are decided by rounding, not always outside
     (typeII(2) at [[0.5, 0.5], [0.5, 0.5]] has ||Z|| = 1 and is inside).
-    A point with a NaN or infinite entry is outside.
+
+    Types I-III test H = I - Z Z^H > 0 by one LAPACK Cholesky call for the
+    whole stack: numpy's ``cholesky_lo``, which ``np.linalg.cholesky`` wraps
+    to raise, fills each matrix whose factorisation meets a pivot <= 0 with
+    NaN, so a matrix is inside when its last pivot is > 0.  A point with a
+    NaN or infinite entry, or whose products overflow, is outside without a
+    warning: a NaN in H reaches the last pivot, an infinite row j of Z Z^H
+    makes h_jj -inf or NaN, and every comparison on them fails.
 
     One point of ``domain.point_shape`` ((r, s), (p, p), (q, q) or (n,)) gives
     a bool; a stack of shape (..., *point_shape) gives a bool array of shape
@@ -186,27 +161,24 @@ def contains(domain: ClassicalDomain, point):
     if z.shape[-len(shape):] != shape:
         what = f"a {shape[0]}x{shape[1]} matrix" if len(shape) == 2 else f"a complex {shape[0]}-vector"
         raise ShapeMismatch(f"type {domain.kind} point must be {what}, got shape {z.shape}")
-    all_finite = np.isfinite(z).all()
-    finite = all_finite or np.isfinite(z).all(axis=(-2, -1) if len(shape) == 2 else -1)  # per point
     if symmetry:
         # a NaN entry equals the NaN at its mirror (-nan is NaN): the point is
-        # outside, not malformed.  z.T or -z.T: symmetry * z.T would warn on
-        # an infinite entry (inf * 0)
+        # outside, not malformed; the NaN pass runs only when the plain test fails
         zt = z.swapaxes(-1, -2)
-        if not np.array_equal(z, zt if symmetry > 0 else -zt, equal_nan=not all_finite):
+        mirror = zt if symmetry > 0 else -zt
+        if not (np.array_equal(z, mirror) or np.array_equal(z, mirror, equal_nan=True)):
             what = "symmetric" if symmetry > 0 else "skew-symmetric"
             raise ShapeMismatch(f"type {domain.kind} point must be exactly {what}")
-    if not all_finite:  # zeros in their place before any product, where an infinite entry warns (inf * 0)
-        z = np.where(finite[(..., *(None,) * len(shape))], z, 0.0)
-    if domain.kind == "IV":
-        quad = abs(_dot(z, z))  # |zz'|, zz' the non-conjugated sum z_j^2
-        inside = (1.0 + quad ** 2 - 2.0 * _inner(z, z).real > 0.0) & (quad < 1.0)
-    else:
-        h = np.eye(shape[0], dtype=complex) - z @ z.conj().swapaxes(-1, -2)
-        inside = _positive_definite(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    with np.errstate(all="ignore"):  # inf and NaN products fail the comparisons below
+        if domain.kind == "IV":
+            quad = abs(_dot(z, z))  # |zz'|, zz' the non-conjugated sum z_j^2
+            inside = (1.0 + quad ** 2 - 2.0 * _inner(z, z).real > 0.0) & (quad < 1.0)
+        else:
+            h = np.eye(shape[0], dtype=complex) - z @ z.conj().swapaxes(-1, -2)
+            inside = _cholesky(0.5 * (h + h.conj().swapaxes(-1, -2)))[..., -1, -1].real > 0.0
     if z.ndim > len(shape):
-        return inside.reshape(z.shape[:z.ndim - len(shape)]) & finite  # type IV keeps the summed axis
-    return bool(inside & finite)
+        return inside.reshape(z.shape[:z.ndim - len(shape)])  # type IV keeps the summed axis
+    return bool(inside)
 
 
 def _inverse_sqrt(m: int) -> float:

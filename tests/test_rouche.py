@@ -689,6 +689,19 @@ class TestBoundaryCertificate:
             cert = injectivity_certificate(laurent_map(scale * c), 0.55, samples=512)
             assert (cert.status, cert.critical_points) == expected, lam
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_common_power_of_z_leaves_the_critical_counts_trusted(self, scale):
+        """z + 0.4 / z + 1e-3 z^60 at r = 0.5: z^61 f' = z^59 (z^2 - 0.4 + 0.06 z^61)
+        has its critical points near +-sqrt(0.4) in the annulus.  Counted with
+        the factor z^59, which changes by about 2e5 around each disc, the
+        reach exceeded |p| at every sample count; divided by it, both counts
+        are trusted and the map is refuted."""
+        m = 60
+        c = np.zeros(2 * m + 1, dtype=complex)
+        c[m + 1], c[m - 1], c[-1] = 1.0, 0.4, 1e-3
+        cert = injectivity_certificate(laurent_map(scale * c), 0.5, samples=512)
+        assert (cert.status, cert.critical_points) == ("refuted", 2)
+
     # f = z at r = 0.81: w0 = 0.9 lies 0.1 from the outer curve and 0.09 from
     # the inner one, whose reaches are h and 0.81 h, h = pi / samples, plus
     # rounding terms below 3e-12; at samples 30 only the outer reach exceeds

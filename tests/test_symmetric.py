@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestMembership:
         ],
     )
     def test_infinite_entry_outside_without_warning(self, domain, point):
-        # RuntimeWarnings are errors in this suite: the products must never run
+        # RuntimeWarnings are errors in this suite: the products must not warn
         assert not contains(domain, point)
 
     @pytest.mark.parametrize(
@@ -216,8 +217,7 @@ class TestMembership:
             s = int(rng.integers(r, 6))
             z = (rng.uniform(-0.4, 0.4, (r, s)) + 0j) / np.sqrt(s)
             z.flat[rng.integers(z.size)] = bad[rng.integers(len(bad))]
-            with np.errstate(invalid="ignore"):
-                assert not contains(ClassicalDomain.type_i(r, s), z)
+            assert not contains(ClassicalDomain.type_i(r, s), z)
 
     def test_scaling_monotonicity(self):
         rng = np.random.default_rng(14)
@@ -307,10 +307,9 @@ def _cholesky_stack(domain, rng, count=60):
     return z, np.where(~diagonal, 1, np.where(definite, 0, 2))
 
 
-class TestScreenedCholesky:
-    """After a stacked factorisation fails, the matrices with a diagonal entry
-    <= 0 are outside without factoring, and the stack answers, point by point,
-    as the one-point calls do."""
+class TestStackedCholesky:
+    """One factorisation call decides every matrix of a stack, and the stack
+    answers, point by point, as the one-point calls do."""
 
     @pytest.mark.parametrize("token", ["typeI:1,1", "typeI:2,3", "typeI:3,3", "typeII:2", "typeII:3", "typeIII:4", "typeIII:5"])
     @pytest.mark.parametrize("seed", range(4))
@@ -323,37 +322,72 @@ class TestScreenedCholesky:
         assert not inside[3] and (category == 1).any()  # the NaN point, and one screened matrix
         assert inside[4] or token != "typeII:2"
 
-    @pytest.mark.parametrize("token", ["typeI:2,3", "typeII:3", "typeIII:4"])
-    def test_each_fallback_branch_matches_one_matrix_calls(self, token, monkeypatch):
-        domain = ClassicalDomain.parse(token)
-        z, category = _cholesky_stack(domain, np.random.default_rng(len(token)), count=400)
-        finite = np.isfinite(z).all(axis=(-2, -1))
-        z, category = z[finite], category[finite]
-        h = np.eye(domain.point_shape[0]) - z @ z.conj().swapaxes(-1, -2)
+    def test_factorisation_contract(self):
+        # the errstate-wrapped gufunc raises and warns nothing; it NaN-fills
+        # exactly the matrices np.linalg.cholesky refuses one at a time, and
+        # gives the others that call's factor, whose last pivot decides
+        domain = ClassicalDomain.type_i(3, 3)
+        z, category = _cholesky_stack(domain, np.random.default_rng(7), count=200)
+        h = np.eye(3) - z @ z.conj().swapaxes(-1, -2)
         h = 0.5 * (h + h.conj().swapaxes(-1, -2))
-        assert {0, 1, 2} <= set(category.tolist())
-        shapes = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
-        # the whole stack raises; the screened rest (no diagonal entry <= 0) is
-        # factored as one stack, and only when that raises too, each of it alone
-        p = domain.point_shape[0]
-        for keep, alone in ((category != 2, False), (np.ones(len(h), bool), True)):
-            shapes.clear()
-            stacked = symmetric._positive_definite(h[keep])
-            rest = int((category[keep] != 1).sum())
-            assert shapes == [h[keep].shape, (rest, p, p), *([(p, p)] * rest if alone else [])]
-            one = [bool(symmetric._positive_definite(x)) for x in h[keep]]
-            assert stacked.tolist() == one == (category[keep] == 0).tolist()
+        h[5, 1, 1] = np.nan  # a NaN first met at a later pivot
+        h[6, 0, 0] = -0.5  # fails at the first pivot
+        category[[5, 6]] = 1
+        assert {0, 1, 2} <= set(category.tolist()) and np.isnan(h[3]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                factor = symmetric._cholesky(h)
+        refused = []
+        for x, f in zip(h, factor):
+            try:
+                one = np.linalg.cholesky(x)
+            except np.linalg.LinAlgError:
+                refused.append(True)
+            else:
+                refused.append(False)
+                assert np.array_equal(f, one, equal_nan=True)
+        assert np.isnan(factor).all(axis=(-2, -1)).tolist() == refused and refused[6]
+        assert np.isnan(factor[[3, 5], -1, -1]).all()
+        assert (factor[:, -1, -1].real > 0.0).tolist() == (category == 0).tolist()
 
-    def test_outer_sphere_is_decided_without_factoring_a_matrix_alone(self, monkeypatch):
-        shapes = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    @pytest.mark.parametrize("token", ["typeI:1,1", "typeI:2,3", "typeII:3", "typeIII:4"])
+    def test_one_factorisation_call_per_contains(self, token, monkeypatch):
+        calls = []
+        cholesky = symmetric._cholesky
+        monkeypatch.setattr(symmetric, "_cholesky", lambda h: calls.append(h.shape) or cholesky(h))
+        domain = ClassicalDomain.parse(token)
+        z, _ = _cholesky_stack(domain, np.random.default_rng(2))
+        p = domain.point_shape[0]
+        for points in (z, z[0], z[3], z.reshape(6, 10, *domain.point_shape)):
+            calls.clear()
+            contains(domain, points)
+            assert calls == [(*points.shape[:-2], p, p)]
+
+    def test_sandwich_factors_each_stack_once(self, monkeypatch):
+        calls = []
+        cholesky = symmetric._cholesky
+        monkeypatch.setattr(symmetric, "_cholesky", lambda h: calls.append(h.shape) or cholesky(h))
         assert sandwich_check_type_i(2, 3, samples=1000, seed=3)
-        # the inner stack, then the outer stack, which raises: every outer draw has
-        # a row of norm > 1, so a diagonal entry < 0, and nothing is left to factor
-        assert shapes == [(1000, 2, 2), (1000, 2, 2)]
+        assert calls == [(1000, 2, 2), (1000, 2, 2)]  # the inner stack, then the outer one
+
+    @pytest.mark.parametrize("token", ["typeI:1,1", "typeI:2,3", "typeII:2", "typeIII:2", "typeIV:2"])
+    @pytest.mark.parametrize("bad", [1e200, -1e200, complex(0.0, 1e200), np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+    def test_overflowing_or_non_finite_point_outside_without_warning(self, token, bad):
+        domain = ClassicalDomain.parse(token)
+        z = np.zeros(domain.point_shape, dtype=complex)
+        if z.ndim == 1:
+            z[0] = bad
+        else:
+            z[0, -1] = bad
+            if domain.point_symmetry:
+                z[-1, 0] = bad if domain.point_symmetry > 0 else -bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert contains(domain, z) is False
+            stack = np.array([np.zeros_like(z), z, z.conj(), np.zeros_like(z)])
+            assert contains(domain, stack).tolist() == [True, False, False, True]
+            assert contains(domain, stack.reshape(2, 2, *z.shape)).tolist() == [[True, False], [False, True]]
 
 
 class TestUniformBallPoints:
